@@ -5,32 +5,21 @@ from .cohomology import (
     DerivationMap, H1Result, full_derivation_dims, h1, inner_derivation,
     is_outer, psi, zero_weight_derivations, zero_weight_inner_space,
 )
-from .enveloping import (
-    Character, HighestWeight, ModuleVector, PBWMonomial, VermaModule,
-    build_verma, normal_form, target_weight_basis,
-)
-from .field import FieldScalar, PrimeField
+from .enveloping import ModuleVector, PBWMonomial, VermaModule
 
 __all__ = [
-    "Character",
     "DerivationMap",
-    "FieldScalar",
     "H1Result",
-    "HighestWeight",
     "ModuleVector",
     "PBWMonomial",
-    "PrimeField",
     "SuperAlgebra",
     "VermaModule",
     "build_algebra",
-    "build_verma",
     "full_derivation_dims",
     "h1",
     "inner_derivation",
     "is_outer",
-    "normal_form",
     "psi",
-    "target_weight_basis",
     "zero_weight_derivations",
     "zero_weight_inner_space",
 ]

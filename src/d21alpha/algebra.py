@@ -38,20 +38,6 @@ EVEN_GENERATORS = tuple(range(9))
 ODD_GENERATORS = tuple(range(9, 17))
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Identity card of one basis generator."""
-
-    name: str
-    index: int
-    parity: int
-
-
-GENERATORS = tuple(
-    Generator(name, i, PARITY[i]) for i, name in enumerate(GENERATOR_NAMES)
-)
-
-
 def generator_weight(g: int) -> tuple[int, int, int]:
     """Weight of a generator as an integer triple (coefficients of eps_i)."""
     if g <= H3:

@@ -20,7 +20,7 @@ from .cohomology import (
     ConsistencyError, GradedLayout, PSI_REGIMES, compute_point,
     full_derivation_dims, h1, psi, psi_lambda, zero_weight_inner_space,
 )
-from .enveloping import VermaModule, verify_module_axioms
+from .enveloping import PBWMonomial, VermaModule, verify_module_axioms
 from .field import is_prime
 
 MAX_P = 31
@@ -95,12 +95,13 @@ def _lambdas(spec_text: str, p: int) -> list[tuple[int, int, int]]:
 
 
 def _jobs(args) -> int:
+    """Requested worker count (--jobs, else H1_JOBS), capped at the CPU count."""
+    cpus = os.cpu_count() or 1
     if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("H1_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        requested = args.jobs
+    else:
+        requested = int(os.environ.get("H1_JOBS") or cpus)
+    return max(1, min(requested, cpus))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -149,12 +150,8 @@ def cmd_verma(args) -> int:
     for beta in sorted(decomposition):
         basis = []
         for n in sorted(decomposition[beta]):
-            code = n & 15
-            m = n >> 4
-            basis.append(
-                [m // (args.p**2), (m // args.p) % args.p, m % args.p,
-                 (code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1]
-            )
+            m = PBWMonomial.from_index(n, args.p)
+            basis.append([*m.i, *m.j])
         weights.append({"beta": list(beta), "dim": len(basis), "basis": basis})
     payload = {"lambda": list(lam), "weights": weights}
     _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.output)
@@ -198,7 +195,13 @@ def cmd_h1(args) -> int:
 
 def _point_task(task):
     p, alpha, lam, chi = task
-    s = compute_point(p, alpha, lam, chi)
+    try:
+        s = compute_point(p, alpha, lam, chi)
+    except (ConsistencyError, ValueError) as exc:
+        # same type, so main() still maps it to the same exit code
+        raise type(exc)(
+            f"p={p} alpha={alpha} lambda={lam} chi={chi}: {exc}"
+        ) from exc
     return (s.dim_even, s.dim_odd)
 
 
@@ -209,8 +212,8 @@ def cmd_scan(args) -> int:
     alphas = _alphas(args.alpha, p)
     lambdas = _lambdas(args.lam, p)
     tasks = [(p, a, lam, chi) for a in alphas for lam in lambdas]
-    jobs = _jobs(args)
-    if jobs > 1 and len(tasks) > 1:
+    jobs = min(_jobs(args), len(tasks))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             dims = list(pool.map(_point_task, tasks, chunksize=8))
     else:
@@ -350,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="sweep lambda/alpha and emit CSV")
     common(sp, lam_default="all")
     sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: H1_JOBS or cpu count)")
+                    help="worker processes (default: H1_JOBS or cpu count; "
+                         "capped at the cpu count and the number of points)")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("verify-psi", help="verify one outer family psi_1..psi_4")

@@ -27,7 +27,7 @@ from .algebra import (
     GENERATOR_INDEX, GENERATOR_NAMES, PARITY, build_algebra,
 )
 from .enveloping import (
-    J1_CODES, J3_CODES, ModuleVector, VermaModule, monomial_parity,
+    J1_CODES, J3_CODES, ModuleVector, VermaModule, decode, monomial_parity,
 )
 
 
@@ -183,44 +183,32 @@ class GradedLayout:
         for a, b in pairs:
             row_par = (PARITY[a] + PARITY[b] + par) % 2
             row_codes = EVEN_THETAS if row_par == 0 else ODD_THETAS
-            pos = _THETA_POS[row_par]
             ws = tuple((weights[a][i] + weights[b][i]) % p for i in range(3))
+            # equation row of each monomial in the weight-ws block
+            block = {module.w_index(ws, code): r for r, code in enumerate(row_codes)}
             eq = np.zeros((8, self.ncols), dtype=np.int64)
             if a == b:
-                for code in self.thetas[a]:
-                    cidx = self.col(a, code)
-                    for n, c in module.column(
-                        a, module.w_index(weights[a], code)
-                    ).items():
-                        tp = n & 15
-                        if n != module.w_index(ws, tp):
-                            raise ConsistencyError("action left its weight block")
-                        eq[pos[tp], cidx] += c
+                actions = [(a, a, 1)]
             else:
                 # [a,b] has parity |a|+|b|, so its image thetas match the rows
+                pos = _THETA_POS[row_par]
                 for g, c in bracket[a][b]:
                     for code in self.thetas[g]:
                         eq[pos[code], self.col(g, code)] += c
                 s1 = -1 if par and PARITY[a] else 1
                 s2 = -1 if PARITY[b] and (par + PARITY[a]) % 2 else 1
-                for code in self.thetas[b]:
-                    cidx = self.col(b, code)
+                actions = [(a, b, -s1), (b, a, s2)]
+            # sign * g.phi(u), for each unknown coordinate of phi(u)
+            for g, u, sign in actions:
+                for code in self.thetas[u]:
+                    cidx = self.col(u, code)
                     for n, c in module.column(
-                        a, module.w_index(weights[b], code)
+                        g, module.w_index(weights[u], code)
                     ).items():
-                        tp = n & 15
-                        if n != module.w_index(ws, tp):
+                        r = block.get(n)
+                        if r is None:
                             raise ConsistencyError("action left its weight block")
-                        eq[pos[tp], cidx] -= s1 * c
-                for code in self.thetas[a]:
-                    cidx = self.col(a, code)
-                    for n, c in module.column(
-                        b, module.w_index(weights[a], code)
-                    ).items():
-                        tp = n & 15
-                        if n != module.w_index(ws, tp):
-                            raise ConsistencyError("action left its weight block")
-                        eq[pos[tp], cidx] += s2 * c
+                        eq[r, cidx] += sign * c
             for r, code in enumerate(row_codes):
                 if eq[r].any():
                     rows.append(eq[r] % p)
@@ -246,8 +234,7 @@ class GradedLayout:
             for b in range(17):
                 sign = -1 if PARITY[b] and mpar else 1
                 for n, c in module.column(b, m_index).items():
-                    tp = n & 15
-                    vec[self.col(b, tp)] += sign * c
+                    vec[self.col(b, decode(n, p)[3])] += sign * c
             out.append(vec % p)
         return out
 
@@ -395,10 +382,7 @@ def is_outer(phi: DerivationMap, module: VermaModule) -> bool:
 def _parity_positions(module: VermaModule):
     """For each parity: monomial indices of that parity and index -> slot."""
     dim = module.dim
-    codes = np.arange(dim, dtype=np.int64) & 15
-    mp = (
-        ((codes >> 3) & 1) + ((codes >> 2) & 1) + ((codes >> 1) & 1) + (codes & 1)
-    ) % 2
+    mp = monomial_parity(np.arange(dim, dtype=np.int64))
     lists = []
     positions = []
     for parity in (0, 1):
@@ -724,9 +708,7 @@ def check_f_coupling(module: VermaModule) -> list[str]:
 
     def wrap_factor(k: int, beta, code: int) -> int:
         # exponent of f_k in the weight-beta basis monomial tagged code
-        n = module.w_index(beta, code)
-        m = n >> 4
-        exp = (m // (p * p), (m // p) % p, m % p)[k]
+        exp = decode(module.w_index(beta, code), p)[k]
         return module.chi[k] if exp == p - 1 else 1
 
     for parity in (0, 1):

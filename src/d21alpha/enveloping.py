@@ -34,55 +34,65 @@ from .algebra import (
 _ORDER = (F1, F2, F3, Y1, Y2, Y3, Y4, H1, H2, H3, E1, E2, E3, X1, X2, X3, X4)
 SORT_KEY = tuple(_ORDER.index(g) for g in range(17))
 
+# -- the monomial codec --------------------------------------------------------
+# The only code that knows the index layout.  Each function takes a Python int
+# or an int64 numpy array and applies the same expressions to either.
+
 THETA_BITS = (8, 4, 2, 1)  # bit of y1..y4 inside a theta code
 
 
-def theta_tuple(code: int) -> tuple[int, int, int, int]:
-    return ((code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1)
-
-
 def theta_code(j) -> int:
+    """Theta code of the y-exponents (j1, j2, j3, j4)."""
     j1, j2, j3, j4 = j
     return j1 * 8 + j2 * 4 + j3 * 2 + j4
 
 
-@dataclass(frozen=True)
-class IndexTheta:
-    """One of the 16 y-exponent patterns, with its classifier flags."""
-
-    j: tuple[int, int, int, int]
-
-    @property
-    def code(self) -> int:
-        return theta_code(self.j)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.j)
-
-    @property
-    def in_j1(self) -> bool:
-        return self.degree % 2 == 0
-
-    @property
-    def in_j2(self) -> bool:
-        return self.degree == 2
-
-    @property
-    def in_j3(self) -> bool:
-        return self.degree % 2 == 1
-
-    @property
-    def in_j4(self) -> bool:
-        return self.degree == 3
+def theta_tuple(code):
+    """The y-exponents (j1, j2, j3, j4) of a theta code."""
+    return (code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1
 
 
-THETAS = tuple(IndexTheta(theta_tuple(c)) for c in range(16))
-J_ALL = tuple(range(16))
-J1_CODES = tuple(c for c in range(16) if bin(c).count("1") % 2 == 0)
-J2_CODES = tuple(c for c in range(16) if bin(c).count("1") == 2)
-J3_CODES = tuple(c for c in range(16) if bin(c).count("1") % 2 == 1)
-J4_CODES = tuple(c for c in range(16) if bin(c).count("1") == 3)
+def encode(i1, i2, i3, code, p: int):
+    """Index of the basis monomial f1^i1 f2^i2 f3^i3 y^theta (x) v."""
+    return ((i1 * p + i2) * p + i3) * 16 + code
+
+
+def decode(n, p: int):
+    """(i1, i2, i3, theta code) of the basis monomial with index n."""
+    m = n >> 4
+    return m // (p * p), m // p % p, m % p, n & 15
+
+
+def theta_weight(code):
+    """Weight of y1^j1 y2^j2 y3^j3 y4^j4, as an integer triple."""
+    j1, j2, j3, j4 = theta_tuple(code)
+    return -j1 - j2 - j3 - j4, j1 + j2 - j3 - j4, j1 - j2 + j3 - j4
+
+
+def monomial_weight(n, lam, p: int):
+    """Weight lambda - 2*(i1, i2, i3) + wt(y^theta) of index n, mod p."""
+    i1, i2, i3, code = decode(n, p)
+    t1, t2, t3 = theta_weight(code)
+    return (
+        (lam[0] - 2 * i1 + t1) % p,
+        (lam[1] - 2 * i2 + t2) % p,
+        (lam[2] - 2 * i3 + t3) % p,
+    )
+
+
+def monomial_parity(n):
+    """Parity j1+j2+j3+j4 mod 2 of an index (or of a bare theta code)."""
+    j1, j2, j3, j4 = theta_tuple(n & 15)
+    return (j1 + j2 + j3 + j4) % 2
+
+
+J1_CODES = tuple(c for c in range(16) if monomial_parity(c) == 0)
+J3_CODES = tuple(c for c in range(16) if monomial_parity(c) == 1)
+# per theta code, for the scalar hot paths: the y-weight and the y-word
+THETA_WEIGHTS = tuple(theta_weight(c) for c in range(16))
+Y_WORDS = tuple(
+    tuple(Y1 + k for k, jk in enumerate(theta_tuple(c)) if jk) for c in range(16)
+)
 
 # The 15 weights carried by the generators (as un-reduced integer triples).
 TARGET_WEIGHTS = (
@@ -102,45 +112,16 @@ class PBWMonomial:
     j: tuple[int, int, int, int]
 
     def index(self, p: int) -> int:
-        i1, i2, i3 = self.i
-        return ((i1 * p + i2) * p + i3) * 16 + theta_code(self.j)
+        return encode(*self.i, theta_code(self.j), p)
 
     @classmethod
     def from_index(cls, n: int, p: int) -> "PBWMonomial":
-        code = n & 15
-        m = n >> 4
-        return cls((m // (p * p), (m // p) % p, m % p), theta_tuple(code))
+        i1, i2, i3, code = decode(n, p)
+        return cls((i1, i2, i3), theta_tuple(code))
 
     @property
     def parity(self) -> int:
-        return sum(self.j) % 2
-
-    def word(self) -> tuple[int, ...]:
-        w = (F1,) * self.i[0] + (F2,) * self.i[1] + (F3,) * self.i[2]
-        for k, jk in enumerate(self.j):
-            if jk:
-                w += (Y1 + k,)
-        return w
-
-
-def monomial_parity(n: int) -> int:
-    return bin(n & 15).count("1") % 2
-
-
-@dataclass(frozen=True)
-class Character:
-    """chi on g_0, stored through the only free values chi(f_i).
-
-    chi(e_i) = 0 by the standard reduction and chi(h_i) = 0 so that the
-    highest-weight set over F_p is nonempty.
-    """
-
-    chi_f: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
-class HighestWeight:
-    lam: tuple[int, int, int]
+        return monomial_parity(theta_code(self.j))
 
 
 @dataclass(frozen=True)
@@ -149,7 +130,7 @@ class WeightSpaceBasis:
 
     beta: tuple[int, int, int]
     is_target: bool
-    entries: tuple[tuple[IndexTheta, PBWMonomial], ...]
+    entries: tuple[tuple[int, PBWMonomial], ...]  # (theta code, monomial)
 
 
 class ModuleVector:
@@ -231,10 +212,6 @@ class VermaModule:
 
     def __init__(self, algebra: SuperAlgebra, lam, chi):
         p = algebra.p
-        if isinstance(lam, HighestWeight):
-            lam = lam.lam
-        if isinstance(chi, Character):
-            chi = chi.chi_f
         self.algebra = algebra
         self.p = p
         self.lam = tuple(v % p for v in lam)
@@ -248,73 +225,57 @@ class VermaModule:
         self.inv2 = pow(2, p - 2, p)
         self._columns: dict[tuple[int, int], dict[int, int]] = {}
         self._matrices: dict[int, sp.csr_matrix] = {}
-        self._weight_codes: np.ndarray | None = None
 
     # -- monomial bookkeeping ------------------------------------------------
 
-    def monomial_index(self, i1: int, i2: int, i3: int, code: int) -> int:
-        p = self.p
-        return ((i1 * p + i2) * p + i3) * 16 + code
-
     def monomial_word(self, n: int) -> tuple[int, ...]:
-        p = self.p
-        code = n & 15
-        m = n >> 4
-        i3 = m % p
-        i2 = (m // p) % p
-        i1 = m // (p * p)
-        w = (F1,) * i1 + (F2,) * i2 + (F3,) * i3
-        for k, bit in enumerate(THETA_BITS):
-            if code & bit:
-                w += (Y1 + k,)
-        return w
+        i1, i2, i3, code = decode(n, self.p)
+        return (F1,) * i1 + (F2,) * i2 + (F3,) * i3 + Y_WORDS[code]
 
     def weight_of_monomial(self, n: int | PBWMonomial) -> tuple[int, int, int]:
         """Weight of a basis monomial, as canonical residues."""
-        p = self.p
         if isinstance(n, PBWMonomial):
-            n = n.index(p)
-        code = n & 15
-        m = n >> 4
-        i3 = m % p
-        i2 = (m // p) % p
-        i1 = m // (p * p)
-        j1, j2, j3, j4 = theta_tuple(code)
-        return (
-            (self.lam[0] - 2 * i1 - j1 - j2 - j3 - j4) % p,
-            (self.lam[1] - 2 * i2 + j1 + j2 - j3 - j4) % p,
-            (self.lam[2] - 2 * i3 + j1 - j2 + j3 - j4) % p,
-        )
+            n = n.index(self.p)
+        return monomial_weight(n, self.lam, self.p)
 
     def w_index(self, beta, code: int) -> int:
-        """Index of the weight-beta basis monomial with y-pattern ``code``."""
+        """Index of the weight-beta basis monomial with y-pattern ``code``.
+
+        Solves monomial_weight(n) == beta for the f-exponents.
+        """
         p, lam, inv2 = self.p, self.lam, self.inv2
-        j1, j2, j3, j4 = theta_tuple(code)
-        i1 = (lam[0] - beta[0] - j1 - j2 - j3 - j4) * inv2 % p
-        i2 = (lam[1] - beta[1] + j1 + j2 - j3 - j4) * inv2 % p
-        i3 = (lam[2] - beta[2] + j1 - j2 + j3 - j4) * inv2 % p
-        return self.monomial_index(i1, i2, i3, code)
+        t1, t2, t3 = THETA_WEIGHTS[code]
+        return encode(
+            (lam[0] + t1 - beta[0]) * inv2 % p,
+            (lam[1] + t2 - beta[1]) * inv2 % p,
+            (lam[2] + t3 - beta[2]) * inv2 % p,
+            code,
+            p,
+        )
 
     def weight_basis(self, beta) -> WeightSpaceBasis:
         """All 16 basis monomials of weight beta (beta arbitrary)."""
         p = self.p
         beta = tuple(b % p for b in beta)
         targets = {tuple(b % p for b in t) for t in TARGET_WEIGHTS}
-        entries = []
-        for code in range(16):
-            n = self.w_index(beta, code)
-            entries.append((THETAS[code], PBWMonomial.from_index(n, p)))
-        return WeightSpaceBasis(beta, beta in targets, tuple(entries))
+        entries = tuple(
+            (code, PBWMonomial.from_index(self.w_index(beta, code), p))
+            for code in range(16)
+        )
+        return WeightSpaceBasis(beta, beta in targets, entries)
 
     def highest_weight_vector(self) -> ModuleVector:
         return ModuleVector.basis_vector(self.p, 0)
 
     def weight_decomposition(self) -> dict[tuple[int, int, int], list[int]]:
         """Monomial indices grouped by weight, in index order."""
-        out: dict[tuple[int, int, int], list[int]] = {}
-        for n in range(self.dim):
-            out.setdefault(self.weight_of_monomial(n), []).append(n)
-        return out
+        codes = self.weight_codes()
+        order = np.argsort(codes, kind="stable")
+        cuts = np.flatnonzero(np.diff(codes[order])) + 1
+        return {
+            self.weight_of_monomial(int(group[0])): group.tolist()
+            for group in np.split(order, cuts)
+        }
 
     # -- straightening engine --------------------------------------------------
 
@@ -391,7 +352,7 @@ class VermaModule:
                 c = c * chi[2] % p
             if not c:
                 continue
-            n = ((i1 * p + i2) * p + i3) * 16 + code
+            n = encode(i1, i2, i3, code, p)
             v = out.get(n, 0) + c
             if v % p:
                 out[n] = v % p
@@ -489,40 +450,23 @@ class VermaModule:
             raise ValueError("vector belongs to a different module")
         return ModuleVector(self.p, self._apply_raw(g, vec.coeffs))
 
-    def act_element(self, el, vec: ModuleVector) -> ModuleVector:
-        """Action of a general algebra element."""
-        out = ModuleVector(self.p)
-        for g, c in el.items():
-            out = out + self.act(g, vec).scale(c)
-        return out
-
     # -- materialized matrices -------------------------------------------------
 
     def _fh_matrix(self, g: int) -> sp.csr_matrix:
         p, dim = self.p, self.dim
         n = np.arange(dim, dtype=np.int64)
-        code = n & 15
-        m = n >> 4
-        i3 = m % p
-        i2 = (m // p) % p
-        i1 = m // (p * p)
         if g <= H3:
-            j1, j2, j3, j4 = ((code >> b) & 1 for b in (3, 2, 1, 0))
-            if g == H1:
-                diag = (self.lam[0] - 2 * i1 - j1 - j2 - j3 - j4) % p
-            elif g == H2:
-                diag = (self.lam[1] - 2 * i2 + j1 + j2 - j3 - j4) % p
-            else:
-                diag = (self.lam[2] - 2 * i3 + j1 - j2 + j3 - j4) % p
+            diag = monomial_weight(n, self.lam, p)[g - H1]
             mask = diag != 0
             return sp.csr_matrix(
                 (diag[mask], (n[mask], n[mask])), shape=(dim, dim), dtype=np.int64
             )
+        # f_k raises i_k by one; past p-1 it wraps to 0 with the scalar chi(f_k)
         k = g - F1
-        ik = (i1, i2, i3)[k]
-        wrap = ik == p - 1
-        step = (p * p, p, 1)[k] * 16
-        rows = np.where(wrap, n - (p - 1) * step, n + step)
+        *exps, code = decode(n, p)
+        wrap = exps[k] == p - 1
+        exps[k] = np.where(wrap, 0, exps[k] + 1)
+        rows = encode(*exps, code, p)
         data = np.where(wrap, self.chi[k], 1)
         mask = data != 0
         return sp.csr_matrix(
@@ -569,51 +513,12 @@ class VermaModule:
         return [self.action_matrix(g) for g in range(17)]
 
     def weight_codes(self) -> np.ndarray:
-        """weight_of_monomial for every index, packed as b1*p^2 + b2*p + b3."""
-        if self._weight_codes is None:
-            p, dim = self.p, self.dim
-            n = np.arange(dim, dtype=np.int64)
-            code = n & 15
-            m = n >> 4
-            i3 = m % p
-            i2 = (m // p) % p
-            i1 = m // (p * p)
-            j1, j2, j3, j4 = ((code >> b) & 1 for b in (3, 2, 1, 0))
-            b1 = (self.lam[0] - 2 * i1 - j1 - j2 - j3 - j4) % p
-            b2 = (self.lam[1] - 2 * i2 + j1 + j2 - j3 - j4) % p
-            b3 = (self.lam[2] - 2 * i3 + j1 - j2 + j3 - j4) % p
-            self._weight_codes = (b1 * p + b2) * p + b3
-        return self._weight_codes
-
-
-def build_verma(algebra: SuperAlgebra, lam, chi) -> VermaModule:
-    """Construct the baby Verma module Z_chi(lambda) over the given algebra."""
-    return VermaModule(algebra, lam, chi)
-
-
-def normal_form(word, module: VermaModule, scalar: int = 1) -> ModuleVector:
-    """PBW normal form of scalar * word * v in the given module."""
-    return module.normal_form(word, scalar)
-
-
-def act(g, vec: ModuleVector, module: VermaModule) -> ModuleVector:
-    return module.act(g, vec)
-
-
-def weight_of_monomial(m: PBWMonomial | int, module: VermaModule):
-    return module.weight_of_monomial(m)
-
-
-def target_weight_basis(beta, lam, p: int) -> WeightSpaceBasis:
-    """Basis of the weight-beta space, independent of any built module.
-
-    Total in beta: non-target weights are flagged, not rejected.
-    """
-    from .algebra import build_algebra
-
-    # the basis depends only on (p, lambda); alpha=1 is a valid placeholder
-    module = VermaModule(build_algebra(p, 1), lam, (0, 0, 0))
-    return module.weight_basis(beta)
+        """Weight of every index, packed as b1*p^2 + b2*p + b3."""
+        p = self.p
+        b1, b2, b3 = monomial_weight(
+            np.arange(self.dim, dtype=np.int64), self.lam, p
+        )
+        return (b1 * p + b2) * p + b3
 
 
 def verify_module_axioms(p: int, alpha: int, lam, chi) -> list[str]:
@@ -668,15 +573,12 @@ def verify_module_axioms(p: int, alpha: int, lam, chi) -> list[str]:
     for g in range(X1, Y4 + 1):
         if reduced(mats[g] @ mats[g]).nnz:
             bad.append(f"{GENERATOR_NAMES[g]}^2 is nonzero")
-    codes = module.weight_codes()
+    weights = np.array(
+        monomial_weight(np.arange(module.dim, dtype=np.int64), module.lam, p)
+    )
     for g in range(17):
         coo = mats[g].tocoo()
-        gw = algebra.weights[g]
-        b = codes[coo.col]
-        b1, b2, b3 = b // (p * p), (b // p) % p, b % p
-        expect = (
-            ((b1 + gw[0]) % p * p + (b2 + gw[1]) % p) * p + (b3 + gw[2]) % p
-        )
-        if not (codes[coo.row] == expect).all():
+        shift = np.array(algebra.weights[g])[:, None]
+        if ((weights[:, coo.row] - weights[:, coo.col] - shift) % p).any():
             bad.append(f"action of {GENERATOR_NAMES[g]} violates the weight grading")
     return bad

@@ -1,11 +1,5 @@
-"""Exact arithmetic in the prime field F_p for configurable p > 3."""
+"""Primality test for the modulus p of the prime field F_p."""
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-class FieldMismatchError(ValueError):
-    """Raised when scalars from fields with different moduli are combined."""
 
 
 def is_prime(n: int) -> bool:
@@ -17,108 +11,3 @@ def is_prime(n: int) -> bool:
             return False
         d += 1
     return True
-
-
-class PrimeField:
-    """Descriptor for F_p shared by all scalars of one computation.
-
-    The modulus is runtime data so a single build can sweep several primes.
-    Residues are kept canonical (smallest nonnegative representative).
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime(p) or p <= 3:
-            raise ValueError(f"modulus must be a prime > 3, got {p}")
-        self.p = p
-
-    def __call__(self, value: int) -> "FieldScalar":
-        return FieldScalar(value % self.p, self)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
-
-    def inv(self, a: int) -> int:
-        """Inverse of the residue a, as a raw integer."""
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inversion of zero in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    @property
-    def half(self) -> int:
-        """The residue 1/2; total since p is odd."""
-        return self.inv(2)
-
-
-@dataclass(frozen=True)
-class FieldScalar:
-    """A canonical residue in [0, p), carrying its field descriptor."""
-
-    value: int
-    field: PrimeField
-
-    def _coerced(self, other) -> int:
-        if isinstance(other, FieldScalar):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed moduli {self.field.p} and {other.field.p}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented
-
-    def __add__(self, other) -> "FieldScalar":
-        v = self._coerced(other)
-        return FieldScalar((self.value + v) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "FieldScalar":
-        v = self._coerced(other)
-        return FieldScalar((self.value - v) % self.field.p, self.field)
-
-    def __mul__(self, other) -> "FieldScalar":
-        v = self._coerced(other)
-        return FieldScalar((self.value * v) % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FieldScalar":
-        return FieldScalar((-self.value) % self.field.p, self.field)
-
-    def inv(self) -> "FieldScalar":
-        return FieldScalar(self.field.inv(self.value), self.field)
-
-    def __truediv__(self, other) -> "FieldScalar":
-        v = self._coerced(other)
-        return FieldScalar((self.value * self.field.inv(v)) % self.field.p, self.field)
-
-    def __pow__(self, n: int) -> "FieldScalar":
-        if n < 0:
-            return self.inv() ** (-n)
-        return FieldScalar(pow(self.value, n, self.field.p), self.field)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldScalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.field.p))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"

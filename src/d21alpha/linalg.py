@@ -1,10 +1,11 @@
 """Exact linear algebra over F_p: RREF, rank, kernels, quotients.
 
-Two regimes: dense elimination for systems with few columns (the graded
-derivation systems), and a split into column-connected components followed by
-dense elimination per component for large sparse systems (the ungraded
-oracle).  All arithmetic is integer arithmetic mod p; results are canonical,
-so rank and kernel bases do not depend on row order.
+Kernels are computed by dense elimination (the graded derivation systems).
+Ranks have two regimes: dense elimination for systems with few columns, and a
+split into column-connected components followed by dense elimination per
+component for large sparse systems (the ungraded oracle).  All arithmetic is
+integer arithmetic mod p; results are canonical, so rank and kernel bases do
+not depend on row order.
 """
 from __future__ import annotations
 
@@ -35,21 +36,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
-
-
-def kernel_of_dense(mat: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis (as rows, in RREF) of the right kernel of mat."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-    cols = mat.shape[1]
-    R, pivots = rref(mat, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for i, c in enumerate(pivots):
-            basis[k, c] = (-R[i, f]) % p
-    R2, _ = rref(basis, p) if len(free) else (basis, [])
-    return R2 if len(free) else basis
 
 
 class Subspace:
@@ -129,12 +115,6 @@ class SparseMatrix:
         m.eliminate_zeros()
         self.csr = m
 
-    @classmethod
-    def from_dense(cls, mat: np.ndarray, p: int) -> "SparseMatrix":
-        mat = np.asarray(mat, dtype=np.int64) % p
-        r, c = np.nonzero(mat)
-        return cls(mat.shape[0], mat.shape[1], (r, c, mat[r, c]), p)
-
     @property
     def entries(self) -> list[tuple[int, int, int]]:
         m = self.csr.tocoo()
@@ -197,40 +177,15 @@ def rank(M, p: int | None = None) -> int:
     return total
 
 
-def nullity(M, p: int | None = None, cols: int | None = None) -> int:
-    if isinstance(M, np.ndarray):
-        return M.shape[1] - rank(M, p)
-    return M.shape[1] - rank(M)
-
-
-def kernel_basis(M, p: int | None = None) -> Subspace:
-    """Canonical basis of {x : Mx = 0}."""
-    if isinstance(M, np.ndarray):
-        if p is None:
-            raise ValueError("p is required for a dense array")
-        basis = kernel_of_dense(M, p)
-        return Subspace(basis, M.shape[1], p)
-    nr, nc = M.shape
-    p = M.p
-    if _dense_dispatch(M):
-        return Subspace(kernel_of_dense(M.to_dense(), p), nc, p)
-    pieces = []
-    for rows, cols in M.column_components():
-        if len(rows) == 0:
-            local = np.eye(len(cols), dtype=np.int64)
-        else:
-            sub = np.asarray(M.csr[rows][:, cols].todense(), dtype=np.int64)
-            local = kernel_of_dense(sub, p)
-        lifted = np.zeros((local.shape[0], nc), dtype=np.int64)
-        lifted[:, cols] = local
-        pieces.append(lifted)
-    stacked = np.vstack(pieces) if pieces else np.zeros((0, nc), dtype=np.int64)
-    # components have disjoint supports, so rows are independent; sort by pivot
-    order = [int(np.nonzero(row)[0][0]) if row.any() else nc for row in stacked]
-    stacked = stacked[np.argsort(order, kind="stable")]
-    keep = [i for i, row in enumerate(stacked) if row.any()]
-    sub = Subspace.__new__(Subspace)
-    sub.p = p
-    sub.ambient_dim = nc
-    sub.basis = stacked[keep]
-    return sub
+def kernel_basis(M: np.ndarray, p: int) -> Subspace:
+    """Canonical basis of {x : Mx = 0} for a dense matrix M."""
+    M = np.atleast_2d(np.asarray(M, dtype=np.int64))
+    cols = M.shape[1]
+    R, pivots = rref(M, p)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        basis[k, pivots] = -R[:, f] % p
+    # Subspace echelonizes the basis into its canonical form
+    return Subspace(basis, cols, p)

@@ -15,7 +15,7 @@ import pytest
 from d21alpha.algebra import build_algebra
 from d21alpha.cli import main
 from d21alpha.cohomology import compute_point, full_derivation_dims, h1
-from d21alpha.enveloping import VermaModule, verify_module_axioms
+from d21alpha.enveloping import VermaModule, theta_tuple, verify_module_axioms
 
 ALPHAS = (1, 2, 3)
 
@@ -121,7 +121,7 @@ def test_criterion_3_weight_decomposition():
             assert sorted(m.index(5) for _, m in basis.entries) == members
             for theta, m in basis.entries:
                 assert module.weight_of_monomial(m) == beta
-                assert m.j == theta.j
+                assert m.j == theta_tuple(theta)
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"weight decomposition took {elapsed:.1f} s"
     print(f"CRITERION 3 PASS: 5 random lambda decompose into 16-dim weight "

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from d21alpha.algebra import (
-    EVEN_GENERATORS, GENERATOR_INDEX, GENERATOR_NAMES, GENERATORS,
-    ODD_GENERATORS, PARITY, build_algebra, generator_weight,
+    EVEN_GENERATORS, GENERATOR_INDEX, GENERATOR_NAMES, ODD_GENERATORS, PARITY,
+    build_algebra, generator_weight,
 )
 
 # Hand transcription of every nonzero generator bracket, independent of the
@@ -90,12 +90,12 @@ def alg():
 
 
 def test_generator_enumeration():
-    assert len(GENERATORS) == 17
-    assert [g.name for g in GENERATORS] == list(GENERATOR_NAMES)
+    assert len(GENERATOR_NAMES) == len(PARITY) == 17
+    assert [GENERATOR_INDEX[name] for name in GENERATOR_NAMES] == list(range(17))
     assert len(EVEN_GENERATORS) == 9
     assert len(ODD_GENERATORS) == 8
-    assert all(GENERATORS[i].parity == 0 for i in EVEN_GENERATORS)
-    assert all(GENERATORS[i].parity == 1 for i in ODD_GENERATORS)
+    assert all(PARITY[i] == 0 for i in EVEN_GENERATORS)
+    assert all(PARITY[i] == 1 for i in ODD_GENERATORS)
 
 
 def test_weights_match_tensor_sign_patterns(alg):

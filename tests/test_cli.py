@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from d21alpha import cli
 from d21alpha.cli import main
+from d21alpha.cohomology import ConsistencyError
 
 
 def run(capsys, *argv):
@@ -93,6 +96,51 @@ def test_scan_deterministic_across_jobs(tmp_path, capsys):
     assert main(args + ["--jobs", "2", "--output", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_scan_worker_count_is_capped(monkeypatch, capsys):
+    requested = []
+
+    class InlinePool:
+        """Records the worker count asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "compute_point", lambda p, alpha, lam, chi:
+                        SimpleNamespace(dim_even=0, dim_odd=0))
+    args = ["scan", "--p", "5", "--alpha", "all", "--lambda", "0,0,0"]  # 3 points
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert main(args + ["--jobs", "1000000"]) == 0
+    monkeypatch.setenv("H1_JOBS", "1000000")
+    assert main(args) == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert main(args + ["--jobs", "1000000"]) == 0
+    assert main(args + ["--jobs", "1"]) == 0  # serial: no pool at all
+    capsys.readouterr()
+    assert requested == [3, 3, 2]
+
+
+@pytest.mark.parametrize("error,exit_code", [(ConsistencyError, 2), (ValueError, 1)])
+def test_failing_scan_point_names_itself(monkeypatch, capsys, error, exit_code):
+    def fail(p, alpha, lam, chi):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "compute_point", fail)
+    code, _, err = run(capsys, "scan", "--p", "5", "--alpha", "2", "--lambda",
+                       "2,3,3", "--chi-f", "1,0,0", "--jobs", "1")
+    assert code == exit_code
+    assert "p=5 alpha=2 lambda=(2, 3, 3) chi=(1, 0, 0): boom" in err
 
 
 def test_verma_dump(capsys):

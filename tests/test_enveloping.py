@@ -2,12 +2,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from d21alpha.algebra import GENERATOR_INDEX, build_algebra
+from d21alpha.algebra import (
+    F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra, generator_weight,
+)
 from d21alpha.enveloping import (
-    J1_CODES, J2_CODES, J3_CODES, J4_CODES, ModuleVector, PBWMonomial,
-    THETAS, VermaModule, build_verma, monomial_parity, normal_form,
-    target_weight_basis, verify_module_axioms,
+    J1_CODES, J3_CODES, ModuleVector, PBWMonomial, VermaModule, decode, encode,
+    monomial_parity, monomial_weight, theta_code, theta_tuple,
+    verify_module_axioms,
 )
 
 P = 5
@@ -22,12 +25,12 @@ def alg():
 
 @pytest.fixture(scope="module")
 def module(alg):
-    return build_verma(alg, LAM, (0, 0, 0))
+    return VermaModule(alg, LAM, (0, 0, 0))
 
 
 @pytest.fixture(scope="module")
 def module_chi(alg):
-    return build_verma(alg, LAM, (1, 0, 0))
+    return VermaModule(alg, LAM, (1, 0, 0))
 
 
 def test_monomial_index_bijection():
@@ -36,23 +39,74 @@ def test_monomial_index_bijection():
         for i2 in range(P):
             for i3 in range(P):
                 for code in range(16):
-                    m = PBWMonomial((i1, i2, i3), THETAS[code].j)
+                    j = theta_tuple(code)
+                    assert theta_code(j) == code
+                    m = PBWMonomial((i1, i2, i3), j)
                     n = m.index(P)
                     assert 0 <= n < 16 * P**3
                     assert PBWMonomial.from_index(n, P) == m
+                    # the y's are the only odd letters of the monomial
+                    odd_letters = sum(PARITY[Y1 + k] * jk for k, jk in enumerate(j))
+                    assert m.parity == odd_letters % 2
                     assert m.parity == monomial_parity(n)
                     seen.add(n)
     assert len(seen) == 16 * P**3
+    assert (J1_CODES, J3_CODES) == (
+        tuple(c for c in range(16) if sum(theta_tuple(c)) % 2 == 0),
+        tuple(c for c in range(16) if sum(theta_tuple(c)) % 2 == 1),
+    )
 
 
-def test_theta_classifiers():
-    assert len(J1_CODES) == 8 and len(J2_CODES) == 6
-    assert len(J3_CODES) == 8 and len(J4_CODES) == 4
-    for t in THETAS:
-        assert t.in_j1 == (t.degree % 2 == 0)
-        assert t.in_j2 == (t.degree == 2)
-        assert t.in_j3 == (t.degree % 2 == 1)
-        assert t.in_j4 == (t.degree == 3)
+@pytest.fixture(scope="module", params=[5, 7])
+def codec_module(request):
+    p = request.param
+    rng = random.Random(p)
+    lam = tuple(rng.randrange(p) for _ in range(3))
+    return VermaModule(build_algebra(p, 2), lam, (0, 0, 0))
+
+
+def test_codec_array_decode_matches_scalar(codec_module):
+    p = codec_module.p
+    n = np.arange(codec_module.dim, dtype=np.int64)
+    arrays = decode(n, p)
+    assert (encode(*arrays, p) == n).all()
+    assert (monomial_parity(n) == [monomial_parity(k) for k in range(len(n))]).all()
+    for k in range(codec_module.dim):
+        assert tuple(int(a[k]) for a in arrays) == decode(k, p)
+
+
+def test_codec_weights_match_weight_codes_and_h_diagonals(codec_module):
+    p = codec_module.p
+    n = np.arange(codec_module.dim, dtype=np.int64)
+    weights = monomial_weight(n, codec_module.lam, p)
+    assert ((weights[0] * p + weights[1]) * p + weights[2]
+            == codec_module.weight_codes()).all()
+    for h in range(H1, H3 + 1):
+        diag = codec_module.action_matrix(h).diagonal()
+        assert (diag == weights[h - H1]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([5, 7]),
+    exps=st.tuples(*[st.integers(0, 6)] * 3),
+    code=st.integers(0, 15),
+    lam=st.tuples(*[st.integers(0, 6)] * 3),
+)
+def test_codec_round_trip_and_weight(p, exps, code, lam):
+    i1, i2, i3 = (e % p for e in exps)
+    n = encode(i1, i2, i3, code, p)
+    assert decode(n, p) == (i1, i2, i3, code)
+    # lambda plus the generator weights of the letters of the monomial
+    letters = [(F1 + k, e) for k, e in enumerate((i1, i2, i3))]
+    letters += [(Y1 + k, jk) for k, jk in enumerate(theta_tuple(code))]
+    expected = tuple(
+        (lam[t] + sum(e * generator_weight(g)[t] for g, e in letters)) % p
+        for t in range(3)
+    )
+    assert monomial_weight(n, lam, p) == expected
+    module = VermaModule(build_algebra(p, 1), lam, (0, 0, 0))
+    assert module.w_index(expected, code) == n
 
 
 def test_normal_form_single_f(module):
@@ -82,7 +136,6 @@ def test_normal_form_scalar_and_names(module):
     a = module.normal_form(["f2"], scalar=3)
     b = module.normal_form([GENERATOR_INDEX["f2"]]).scale(3)
     assert a == b
-    assert normal_form(["f2"], module, 3) == a
 
 
 def test_normal_form_annihilates_with_positive_tail(module):
@@ -200,10 +253,10 @@ def test_every_weight_space_has_dimension_16(module):
 def test_target_weight_basis_examples(module):
     basis = module.weight_basis((0, 0, 0))
     assert basis.is_target
-    by_code = {t.code: m for t, m in basis.entries}
-    assert by_code[15].i == (4, 4, 4)  # all f-exponents at p-1
+    assert [code for code, _ in basis.entries] == list(range(16))
+    assert dict(basis.entries)[15].i == (4, 4, 4)  # all f-exponents at p-1
     top = module.weight_basis(LAM)
-    assert dict(top.entries)[THETAS[0]].i == (0, 0, 0)  # the highest weight vector
+    assert dict(top.entries)[0].i == (0, 0, 0)  # the highest weight vector
     assert not module.weight_basis((1, 0, 0)).is_target
 
 
@@ -215,27 +268,12 @@ def test_target_weight_basis_monomials_have_claimed_weight(module):
     for beta in betas:
         entries = module.weight_basis(beta).entries
         assert len({m.index(P) for _, m in entries}) == 16
-        for theta, m in entries:
-            assert m.j == theta.j
+        for code, m in entries:
+            assert m.j == theta_tuple(code)
             assert module.weight_of_monomial(m) == beta
-
-
-def test_target_weight_basis_free_function():
-    basis = target_weight_basis((0, 0, 0), LAM, P)
-    assert basis.is_target
-    assert {t.code: m.i for t, m in basis.entries}[15] == (4, 4, 4)
 
 
 def test_lambda_canonicalized():
     alg = build_algebra(5, 2)
     m = VermaModule(alg, (7, -2, 12), (0, 0, 0))
     assert m.lam == (2, 3, 2)
-
-
-def test_typed_wrappers_accepted():
-    from d21alpha.enveloping import Character, HighestWeight
-
-    alg = build_algebra(5, 2)
-    m = VermaModule(alg, HighestWeight((2, 3, 3)), Character((1, 0, 0)))
-    assert m.lam == (2, 3, 3)
-    assert m.chi == (1, 0, 0)
