@@ -26,14 +26,11 @@ from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4,
     GENERATOR_INDEX, GENERATOR_NAMES, PARITY, build_algebra,
 )
+# ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
-    J1_CODES, J3_CODES, ModuleVector, VermaModule, decode, monomial_parity,
+    J1_CODES, J3_CODES, ConsistencyError, ModuleVector, VermaModule, decode,
+    monomial_parity,
 )
-
-
-class ConsistencyError(RuntimeError):
-    """An internal mathematical invariant failed (build bug, not user error)."""
-
 
 EVEN_THETAS = J1_CODES
 ODD_THETAS = J3_CODES
@@ -183,9 +180,6 @@ class GradedLayout:
         for a, b in pairs:
             row_par = (PARITY[a] + PARITY[b] + par) % 2
             row_codes = EVEN_THETAS if row_par == 0 else ODD_THETAS
-            ws = tuple((weights[a][i] + weights[b][i]) % p for i in range(3))
-            # equation row of each monomial in the weight-ws block
-            block = {module.w_index(ws, code): r for r, code in enumerate(row_codes)}
             eq = np.zeros((8, self.ncols), dtype=np.int64)
             if a == b:
                 actions = [(a, a, 1)]
@@ -198,17 +192,11 @@ class GradedLayout:
                 s1 = -1 if par and PARITY[a] else 1
                 s2 = -1 if PARITY[b] and (par + PARITY[a]) % 2 else 1
                 actions = [(a, b, -s1), (b, a, s2)]
-            # sign * g.phi(u), for each unknown coordinate of phi(u)
+            # sign * g.phi(u): rows of the weight-(beta_a+beta_b) space; the
+            # unknowns of phi(u) are columns u*8.. in the order of thetas[u]
             for g, u, sign in actions:
-                for code in self.thetas[u]:
-                    cidx = self.col(u, code)
-                    for n, c in module.column(
-                        g, module.w_index(weights[u], code)
-                    ).items():
-                        r = block.get(n)
-                        if r is None:
-                            raise ConsistencyError("action left its weight block")
-                        eq[r, cidx] += sign * c
+                block = module.block(g, weights[u])[np.ix_(row_codes, self.thetas[u])]
+                eq[:, u * 8:(u + 1) * 8] += sign * block
             for r, code in enumerate(row_codes):
                 if eq[r].any():
                     rows.append(eq[r] % p)
@@ -224,19 +212,13 @@ class GradedLayout:
     def inner_vectors(self) -> list[np.ndarray]:
         """Encodings of D_m over the weight-0 basis monomials of this parity."""
         module = self.module
-        p = module.p
         codes = EVEN_THETAS if self.parity == 0 else ODD_THETAS
-        out = []
-        for code in codes:
-            m_index = module.w_index((0, 0, 0), code)
-            mpar = monomial_parity(m_index)
-            vec = np.zeros(self.ncols, dtype=np.int64)
-            for b in range(17):
-                sign = -1 if PARITY[b] and mpar else 1
-                for n, c in module.column(b, m_index).items():
-                    vec[self.col(b, decode(n, p)[3])] += sign * c
-            out.append(vec % p)
-        return out
+        vecs = np.zeros((8, self.ncols), dtype=np.int64)
+        for b in range(17):
+            sign = -1 if PARITY[b] and self.parity else 1
+            block = module.block(b, (0, 0, 0))
+            vecs[:, b * 8:(b + 1) * 8] = sign * block[np.ix_(self.thetas[b], codes)].T
+        return list(vecs % module.p)
 
 
 def graded_spaces(
@@ -303,7 +285,7 @@ class H1Result:
         }
 
 
-def h1(module: VermaModule, verify_representatives: bool = True) -> H1Result:
+def h1(module: VermaModule) -> H1Result:
     """H^1 superdimension and outer-class representatives.
 
     Per parity: the quotient of the 0-weight derivation space by the inner
@@ -330,7 +312,7 @@ def h1(module: VermaModule, verify_representatives: bool = True) -> H1Result:
                 raise ConsistencyError("representative extraction lost rank")
             for row in basis:
                 rep = layout.decode(row)
-                if verify_representatives and rep.defects(module):
+                if rep.defects(module):
                     raise ConsistencyError("representative fails the identity")
                 reps.append(rep)
     return H1Result(

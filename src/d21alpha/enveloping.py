@@ -16,9 +16,14 @@ confluent rewriting system: adjacent out-of-order pairs a*b are replaced by
 (-1)^{|a||b|} b*a + [a,b], squares of odd generators vanish, f_i^p reduces to
 the scalar chi(f_i)^p, and at the right boundary e_i and x_i kill v while h_i
 contributes lambda_i.
+
+Every weight space holds exactly one monomial per theta code, so a generator
+acts as one 16x16 block per weight (``VermaModule.block``); every consumer of
+the action reads these blocks.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +38,14 @@ from .algebra import (
 # at the v boundary.  SORT_KEY[g] is the target position class of generator g.
 _ORDER = (F1, F2, F3, Y1, Y2, Y3, Y4, H1, H2, H3, E1, E2, E3, X1, X2, X3, X4)
 SORT_KEY = tuple(_ORDER.index(g) for g in range(17))
+
+# Rewrite steps one straightening may take before it is declared divergent.
+MAX_REWRITE_STEPS = 50_000_000
+
+
+class ConsistencyError(RuntimeError):
+    """An internal mathematical invariant failed (build bug, not user error)."""
+
 
 # -- the monomial codec --------------------------------------------------------
 # The only code that knows the index layout.  Each function takes a Python int
@@ -193,21 +206,19 @@ class ModuleVector:
         return " + ".join(f"{c}*m[{n}]" for n, c in sorted(self.coeffs.items()))
 
 
-# Generators whose action columns are computed by direct straightening; the
-# remaining four are commutators of these, evaluated by composition:
+# Generators whose blocks are commutators of other generators' blocks:
 #   x3 = [e3, x4],  x2 = [e2, x4],  x1 = [e2, x3],  e1 = [x1, x4]/(2(1+alpha)).
-STRAIGHTENED_GENS = (F1, F2, F3, H1, H2, H3, Y1, Y2, Y3, Y4, E2, E3, X4)
 DERIVED_GENS = {X3: (E3, X4), X2: (E2, X4), X1: (E2, X3), E1: (X1, X4)}
-_DERIVED_ORDER = (X3, X2, X1, E1)
 
 
 class VermaModule:
     """A baby Verma module with lazily materialized generator actions.
 
-    The module is determined by (algebra, lambda, chi).  Individual action
-    columns are computed on demand and cached; full sparse matrices are
-    assembled only when requested, so weight-graded computations touching a
-    few hundred monomials stay cheap.
+    The module is determined by (algebra, lambda, chi).  The action of a
+    generator on one weight space is a 16x16 block, computed on demand and
+    cached; full sparse matrices are assembled from blocks only when
+    requested, so weight-graded computations touching a few weight spaces
+    stay cheap.
     """
 
     def __init__(self, algebra: SuperAlgebra, lam, chi):
@@ -223,7 +234,8 @@ class VermaModule:
                 raise ValueError(f"lambda component {v} outside the weight set")
         self.dim = 16 * p**3
         self.inv2 = pow(2, p - 2, p)
-        self._columns: dict[tuple[int, int], dict[int, int]] = {}
+        self._blocks: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
+        self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict[int, sp.csr_matrix] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
@@ -283,14 +295,16 @@ class VermaModule:
         """Reduce coeff * word * v to basis coordinates.
 
         Iterative worklist; each rewriting step either lowers the inversion
-        count of a word or shortens it, so the loop terminates.  A step guard
-        asserts this.
+        count of a word or shortens it, so the loop terminates.  A broken
+        bracket table can break that argument, so past MAX_REWRITE_STEPS steps
+        the reduction raises ConsistencyError.
         """
         p = self.p
         lam, chi = self.lam, self.chi
         key = SORT_KEY
         par = PARITY
         brackets = self.algebra.bracket_items
+        limit = MAX_REWRITE_STEPS
         out: dict[int, int] = {}
         stack = [(coeff % p, list(word), 0)]
         guard = 0
@@ -302,7 +316,10 @@ class VermaModule:
             dead = False
             while k < nlen - 1:
                 guard += 1
-                assert guard < 50_000_000, "straightening failed to terminate"
+                if guard >= limit:
+                    raise ConsistencyError(
+                        f"straightening exceeded {limit} rewrite steps"
+                    )
                 a = w[k]
                 b = w[k + 1]
                 if key[a] > key[b]:
@@ -404,43 +421,77 @@ class VermaModule:
     # -- generator action ----------------------------------------------------
 
     def column(self, g: int, n: int) -> dict[int, int]:
-        """Coordinates of g * (basis monomial n), cached."""
-        col = self._columns.get((g, n))
-        if col is None:
-            if g in DERIVED_GENS:
-                a, b = DERIVED_GENS[g]
-                unit = {n: 1}
-                left = self._apply_raw(a, self._apply_raw(b, unit))
-                right = self._apply_raw(b, self._apply_raw(a, unit))
-                p = self.p
-                col = dict(left)
-                # odd-odd commutator for e1 = [x1,x4]; even-odd for the x's
-                sign = 1 if g == E1 else -1
-                for m, co in right.items():
-                    v = (col.get(m, 0) + sign * co) % p
-                    if v:
-                        col[m] = v
-                    elif m in col:
-                        del col[m]
-                if g == E1:
-                    scale = pow(2 * (1 + self.algebra.alpha), p - 2, p)
-                    col = {m: co * scale % p for m, co in col.items()}
-            else:
-                col = self._normal_form_raw([g] + list(self.monomial_word(n)))
-            self._columns[(g, n)] = col
-        return col
+        """Coordinates of g * (basis monomial n), by straightening."""
+        return self._normal_form_raw([g, *self.monomial_word(n)])
 
-    def _apply_raw(self, g: int, vec: dict[int, int]) -> dict[int, int]:
+    def _shifted(self, beta, g: int) -> tuple[int, int, int]:
+        """The weight beta + wt(g), as canonical residues."""
+        p, w = self.p, self.algebra.weights[g]
+        return (beta[0] + w[0]) % p, (beta[1] + w[1]) % p, (beta[2] + w[2]) % p
+
+    def _space(self, beta) -> tuple[int, ...]:
+        """Indices of the 16 monomials of weight beta, by theta code, cached."""
+        space = self._spaces.get(beta)
+        if space is None:
+            space = self._spaces[beta] = tuple(
+                self.w_index(beta, code) for code in range(16)
+            )
+        return space
+
+    def block(self, g: int, beta) -> np.ndarray:
+        """16x16 int64 matrix of g from M_beta to M_{beta + wt g}, cached.
+
+        Rows and columns are indexed by theta code: entry (r, c) is the
+        coefficient of w_index(beta + wt g, r) in g * w_index(beta, c).
+        Raises ConsistencyError when a straightened column leaves the target
+        weight space or breaks the parity grading; the closed forms and the
+        commutators of checked blocks keep both by construction.
+        """
         p = self.p
-        out: dict[int, int] = {}
-        for n, c in vec.items():
-            for m, co in self.column(g, n).items():
-                v = (out.get(m, 0) + c * co) % p
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return out
+        beta = (beta[0] % p, beta[1] % p, beta[2] % p)
+        key = (g, beta)
+        B = self._blocks.get(key)
+        if B is not None:
+            return B
+        if g <= H3:
+            B = beta[g - H1] * np.eye(16, dtype=np.int64)
+        elif F1 <= g <= F3:
+            # f_k raises i_k by one; past p-1 it wraps to 0 with the scalar chi(f_k)
+            k = g - F1
+            B = np.diag(np.array([
+                self.chi[k] if decode(n, p)[k] == p - 1 else 1
+                for n in self._space(beta)
+            ], dtype=np.int64))
+        elif g in DERIVED_GENS:
+            a, b = DERIVED_GENS[g]
+            # odd-odd commutator for e1 = [x1,x4]; even-odd for the x's
+            sign = 1 if g == E1 else -1
+            B = self.block(a, self._shifted(beta, b)) @ self.block(b, beta) + sign * (
+                self.block(b, self._shifted(beta, a)) @ self.block(a, beta)
+            )
+            if g == E1:
+                B = B * pow(2 * (1 + self.algebra.alpha), p - 2, p)
+            B %= p
+        else:
+            target = self._shifted(beta, g)
+            sources, space = self._space(beta), self._space(target)
+            by_parity = (J1_CODES, J3_CODES)
+            B = np.zeros((16, 16), dtype=np.int64)
+            for parity, codes in enumerate(by_parity):
+                # the image of a code may only hold codes of parity |code| + |g|
+                allowed = {space[r]: r for r in by_parity[(parity + PARITY[g]) % 2]}
+                for c in codes:
+                    for m, v in self.column(g, sources[c]).items():
+                        r = allowed.get(m)
+                        if r is None:
+                            raise ConsistencyError(
+                                f"{GENERATOR_NAMES[g]} maps monomial {sources[c]} "
+                                f"outside the weight-{target} monomials of its parity"
+                            )
+                        B[r, c] = v
+        B.flags.writeable = False
+        self._blocks[key] = B
+        return B
 
     def act(self, g: int | str, vec: ModuleVector) -> ModuleVector:
         """Action of a generator on a module element."""
@@ -448,68 +499,41 @@ class VermaModule:
             g = GENERATOR_INDEX[g]
         if vec.p != self.p:
             raise ValueError("vector belongs to a different module")
-        return ModuleVector(self.p, self._apply_raw(g, vec.coeffs))
+        p = self.p
+        spaces: dict[tuple[int, int, int], np.ndarray] = {}
+        for n, c in vec.items():
+            beta = monomial_weight(n, self.lam, p)
+            spaces.setdefault(beta, np.zeros(16, dtype=np.int64))[decode(n, p)[3]] = c
+        out: dict[int, int] = {}
+        for beta, x in spaces.items():
+            y = self.block(g, beta) @ x % p
+            target = self._space(self._shifted(beta, g))
+            for r in np.flatnonzero(y).tolist():
+                out[target[r]] = int(y[r])
+        return ModuleVector(p, out)
 
     # -- materialized matrices -------------------------------------------------
 
-    def _fh_matrix(self, g: int) -> sp.csr_matrix:
-        p, dim = self.p, self.dim
-        n = np.arange(dim, dtype=np.int64)
-        if g <= H3:
-            diag = monomial_weight(n, self.lam, p)[g - H1]
-            mask = diag != 0
-            return sp.csr_matrix(
-                (diag[mask], (n[mask], n[mask])), shape=(dim, dim), dtype=np.int64
-            )
-        # f_k raises i_k by one; past p-1 it wraps to 0 with the scalar chi(f_k)
-        k = g - F1
-        *exps, code = decode(n, p)
-        wrap = exps[k] == p - 1
-        exps[k] = np.where(wrap, 0, exps[k] + 1)
-        rows = encode(*exps, code, p)
-        data = np.where(wrap, self.chi[k], 1)
-        mask = data != 0
-        return sp.csr_matrix(
-            (data[mask], (rows[mask], n[mask])), shape=(dim, dim), dtype=np.int64
-        )
-
     def action_matrix(self, g: int | str) -> sp.csr_matrix:
-        """Sparse matrix of the generator action on the monomial basis."""
+        """Sparse matrix of the generator action, assembled from its p^3 blocks."""
         if isinstance(g, str):
             g = GENERATOR_INDEX[g]
         mat = self._matrices.get(g)
-        if mat is not None:
-            return mat
-        p, dim = self.p, self.dim
-        if g <= H3 or F1 <= g <= F3:
-            mat = self._fh_matrix(g)
-        elif g in DERIVED_GENS:
-            a, b = DERIVED_GENS[g]
-            ma, mb = self.action_matrix(a), self.action_matrix(b)
-            sign = 1 if g == E1 else -1
-            mat = ma @ mb + sign * (mb @ ma)
-            if g == E1:
-                mat = mat * pow(2 * (1 + self.algebra.alpha), p - 2, p)
-            mat = mat.tocsr()
-            mat.data %= p
-            mat.eliminate_zeros()
-        else:
-            rows, cols, vals = [], [], []
-            for n in range(dim):
-                for m, co in self.column(g, n).items():
-                    rows.append(m)
-                    cols.append(n)
-                    vals.append(co)
-            mat = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=np.int64)
-        self._matrices[g] = mat
+        if mat is None:
+            betas = list(itertools.product(range(self.p), repeat=3))
+            blocks = np.array([self.block(g, beta) for beta in betas])
+            sources = np.array([self._space(beta) for beta in betas])
+            targets = np.array([self._space(self._shifted(beta, g)) for beta in betas])
+            k, r, c = np.nonzero(blocks)
+            mat = self._matrices[g] = sp.csr_matrix(
+                (blocks[k, r, c], (targets[k, r], sources[k, c])),
+                shape=(self.dim, self.dim),
+                dtype=np.int64,
+            )
         return mat
 
     def matrices(self) -> list[sp.csr_matrix]:
         """All 17 action matrices (building any that are missing)."""
-        for g in STRAIGHTENED_GENS:
-            self.action_matrix(g)
-        for g in _DERIVED_ORDER:
-            self.action_matrix(g)
         return [self.action_matrix(g) for g in range(17)]
 
     def weight_codes(self) -> np.ndarray:

@@ -1,11 +1,10 @@
-"""Exact linear algebra over F_p: RREF, rank, kernels, quotients.
+"""Exact linear algebra over F_p: RREF, rank, kernels, subspaces.
 
 Kernels are computed by dense elimination (the graded derivation systems).
-Ranks have two regimes: dense elimination for systems with few columns, and a
-split into column-connected components followed by dense elimination per
-component for large sparse systems (the ungraded oracle).  All arithmetic is
-integer arithmetic mod p; results are canonical, so rank and kernel bases do
-not depend on row order.
+The rank of a sparse system (the ungraded oracle) splits it into
+column-connected components and eliminates each component densely.  All
+arithmetic is integer arithmetic mod p; results are canonical, so rank and
+kernel bases do not depend on row order.
 """
 from __future__ import annotations
 
@@ -85,25 +84,13 @@ class Subspace:
         )
 
 
-def quotient_dim(U: Subspace, W: Subspace) -> int:
-    """dim U - dim W, requiring W to be a subspace of U."""
-    if U.ambient_dim != W.ambient_dim or U.p != W.p:
-        raise ValueError("quotient of subspaces of different ambient spaces")
-    if not U.contains_subspace(W):
-        raise ValueError("denominator is not contained in the numerator")
-    return U.dim - W.dim
-
-
 class SparseMatrix:
     """COO matrix over F_p with canonical entries (coalesced, no zeros)."""
 
     def __init__(self, rows: int, cols: int, entries, p: int):
         self.shape = (rows, cols)
         self.p = p
-        if isinstance(entries, sp.spmatrix):
-            m = entries.tocoo()
-            r, c, v = m.row, m.col, m.data
-        elif entries and isinstance(entries[0], tuple):
+        if entries and isinstance(entries[0], tuple):
             r, c, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
         elif entries:
             r, c, v = (np.asarray(x, dtype=np.int64) for x in entries)
@@ -152,22 +139,12 @@ class SparseMatrix:
         return comps
 
 
-DENSE_COLUMN_LIMIT = 500
-
-
-def _dense_dispatch(M) -> bool:
-    rows, cols = M.shape
-    return cols <= DENSE_COLUMN_LIMIT and rows * cols <= 10_000_000
-
-
 def rank(M, p: int | None = None) -> int:
     """Exact rank over F_p."""
     if isinstance(M, np.ndarray):
         if p is None:
             raise ValueError("p is required for a dense array")
         return len(rref(M, p)[1])
-    if _dense_dispatch(M):
-        return len(rref(M.to_dense(), M.p)[1])
     total = 0
     for rows, cols in M.column_components():
         if len(rows) == 0:

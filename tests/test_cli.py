@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from d21alpha import cli
+from d21alpha import cli, enveloping
 from d21alpha.cli import main
 from d21alpha.cohomology import ConsistencyError
 
@@ -141,6 +141,15 @@ def test_failing_scan_point_names_itself(monkeypatch, capsys, error, exit_code):
                        "2,3,3", "--chi-f", "1,0,0", "--jobs", "1")
     assert code == exit_code
     assert "p=5 alpha=2 lambda=(2, 3, 3) chi=(1, 0, 0): boom" in err
+
+
+def test_divergent_straightening_is_an_inconsistency(monkeypatch, capsys):
+    monkeypatch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
+    code, out, err = run(capsys, "h1", "--p", "5", "--alpha", "2",
+                         "--lambda", "2,3,3")
+    assert code == 2
+    assert out == ""
+    assert "straightening exceeded 1 rewrite steps" in err
 
 
 def test_verma_dump(capsys):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d21alpha.algebra import (
-    F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra, generator_weight,
+    E2, F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra,
+    generator_weight,
 )
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, ModuleVector, PBWMonomial, VermaModule, decode, encode,
-    monomial_parity, monomial_weight, theta_code, theta_tuple,
+    J1_CODES, J3_CODES, ConsistencyError, ModuleVector, PBWMonomial, VermaModule,
+    decode, encode, monomial_parity, monomial_weight, theta_code, theta_tuple,
     verify_module_axioms,
 )
 
@@ -200,17 +201,28 @@ def test_act_linear(module):
         assert module.act(g, u + w) == module.act(g, u) + module.act(g, w)
 
 
-def test_columns_agree_with_direct_straightening(module):
-    """Derived-generator and vectorized paths match the rewriting engine."""
+@pytest.mark.parametrize("fixture", ["module", "module_chi"])
+def test_columns_agree_with_direct_straightening(fixture, request):
+    """Closed-form, commutator and assembled blocks match the rewriting engine."""
+    module = request.getfixturevalue(fixture)
     rng = random.Random(99)
     sample = [rng.randrange(module.dim) for _ in range(40)]
     for g in range(17):
         mat = module.action_matrix(g).tocsc()
         for n in sample:
             direct = module._normal_form_raw([g] + list(module.monomial_word(n)))
-            assert module.column(g, n) == direct
+            assert module.act(g, ModuleVector.basis_vector(P, n)).coeffs == direct
             col = mat[:, n].tocoo()
             assert {int(r): int(v) for r, v in zip(col.row, col.data)} == direct
+
+
+def test_block_rejects_action_leaving_its_weight_space(alg):
+    # [e2, f2] = h2 + f1: e2 f2 v now has an f1 v term of the wrong weight
+    broken = VermaModule(alg.with_perturbed_bracket("e2", "f2", "f1", 1), LAM,
+                         (0, 0, 0))
+    f2v = PBWMonomial((0, 1, 0), (0, 0, 0, 0)).index(P)
+    with pytest.raises(ConsistencyError, match="outside the weight"):
+        broken.block(E2, broken.weight_of_monomial(f2v))
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,8 @@
 import random
 
 import numpy as np
-import pytest
 
-from d21alpha.linalg import (
-    SparseMatrix, Subspace, kernel_basis, quotient_dim, rank, rref,
-)
+from d21alpha.linalg import SparseMatrix, Subspace, kernel_basis, rank, rref
 
 
 def brute_force_kernel_dim(mat: np.ndarray, p: int) -> int:
@@ -94,19 +91,9 @@ def test_subspace_reduce_and_membership():
     assert not U.contains([0, 0, 1])
     assert U.reduce([0, 0, 1]).any()
     assert not U.reduce([2, 3, 3]).any()  # 2*(1,0,2) + 3*(0,1,3) mod 5
-
-
-def test_quotient_dim():
-    p = 5
-    full = Subspace.from_vectors(np.eye(3, dtype=np.int64), 3, p)
-    line = Subspace.from_vectors([[1, 2, 3]], 3, p)
-    assert quotient_dim(full, line) == 2
-    assert quotient_dim(line, line) == 0
-    with pytest.raises(ValueError):
-        quotient_dim(line, full)  # denominator not contained
-    plane = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], 3, p)
-    with pytest.raises(ValueError):
-        quotient_dim(plane, line)
+    line = Subspace.from_vectors([[1, 1, 0]], 3, p)
+    assert U.contains_subspace(line)
+    assert not line.contains_subspace(U)
 
 
 def test_sparse_matrix_canonicalization():
@@ -133,14 +120,13 @@ def test_sparse_rank_matches_dense_on_components():
     rng = np.random.default_rng(41)
     p = 5
     m = _random_block_sparse(rng, p, blocks=60, rows_per=11, cols_per=10)
-    assert m.shape[1] == 600  # above the dense-dispatch threshold
     dense_rank = len(rref(m.to_dense(), p)[1])
     assert rank(m) == dense_rank
 
 
 def test_isolated_columns_count_toward_kernel():
     p = 5
-    # wide enough for the component path, where 598 columns have no rows
+    # 598 columns have no rows and form singleton components
     m = SparseMatrix(2, 600, [(0, 0, 1), (1, 1, 1)], p)
     assert m.shape[1] - rank(m) == 598
     ker = kernel_basis(m.to_dense()[:, :4], p)
