@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .field import is_prime
 
@@ -32,10 +33,7 @@ GENERATOR_INDEX = {name: i for i, name in enumerate(GENERATOR_NAMES)}
 H1, H2, H3, E1, E2, E3, F1, F2, F3 = range(9)
 X1, X2, X3, X4, Y1, Y2, Y3, Y4 = range(9, 17)
 
-EVEN, ODD = 0, 1
 PARITY = (0,) * 9 + (1,) * 8
-EVEN_GENERATORS = tuple(range(9))
-ODD_GENERATORS = tuple(range(9, 17))
 
 
 def generator_weight(g: int) -> tuple[int, int, int]:
@@ -62,63 +60,6 @@ class AxiomViolation:
     kind: str  # antisymmetry | jacobi | weight | restrictedness
     generators: tuple[str, ...]
     detail: str
-
-
-class AlgebraElement:
-    """Dense coefficient vector over the 17 generators."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "SuperAlgebra", coeffs):
-        p = algebra.p
-        self.algebra = algebra
-        self.coeffs = tuple(c % p for c in coeffs)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        p = self.algebra.p
-        return AlgebraElement(
-            self.algebra, [(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        p = self.algebra.p
-        return AlgebraElement(
-            self.algebra, [(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def scale(self, c: int) -> "AlgebraElement":
-        p = self.algebra.p
-        return AlgebraElement(self.algebra, [a * c % p for a in self.coeffs])
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(g for g, c in enumerate(self.coeffs) if c)
-
-    def parity(self) -> int | None:
-        """0 or 1 for a parity-homogeneous element, None if mixed or zero."""
-        pars = {PARITY[g] for g in self.support()}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
-
-    def items(self):
-        return ((g, c) for g, c in enumerate(self.coeffs) if c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra.p == other.algebra.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*{GENERATOR_NAMES[g]}" for g, c in self.items()]
-        return " + ".join(terms) if terms else "0"
 
 
 class SuperAlgebra:
@@ -205,57 +146,6 @@ class SuperAlgebra:
 
     # -- operations --------------------------------------------------------
 
-    def bracket_gen(self, a: int, b: int) -> AlgebraElement:
-        """[a, b] for two generators, as an element."""
-        coeffs = [0] * 17
-        for g, c in self.bracket_items[a][b]:
-            coeffs[g] = c
-        return AlgebraElement(self, coeffs)
-
-    def bracket(self, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-        """Bilinear extension of the generator bracket."""
-        for operand in (x, y):
-            if operand.algebra.p != self.p or operand.algebra.alpha != self.alpha:
-                raise ValueError("operands belong to a different algebra")
-        p = self.p
-        coeffs = [0] * 17
-        for a, ca in x.items():
-            row = self.bracket_items[a]
-            for b, cb in y.items():
-                cab = ca * cb
-                for g, c in row[b]:
-                    coeffs[g] = (coeffs[g] + cab * c) % p
-        return AlgebraElement(self, coeffs)
-
-    def element(self, coeffs: dict[int | str, int]) -> AlgebraElement:
-        dense = [0] * 17
-        for key, c in coeffs.items():
-            g = GENERATOR_INDEX[key] if isinstance(key, str) else key
-            dense[g] = c
-        return AlgebraElement(self, dense)
-
-    def generator(self, g: int | str) -> AlgebraElement:
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
-        return self.element({g: 1})
-
-    def pmap(self, g: int | str) -> AlgebraElement:
-        """p-th power map on even generators: h_i -> h_i, e_i, f_i -> 0."""
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
-        if PARITY[g] == ODD:
-            raise ValueError(
-                f"p-map is defined on the even part only, got {GENERATOR_NAMES[g]}"
-            )
-        if g <= H3:
-            return self.generator(g)
-        return self.element({})
-
-    def weight_of(self, g: int | str) -> tuple[int, int, int]:
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
-        return self.weights[g]
-
     def ad_matrix(self, g: int) -> np.ndarray:
         """Matrix of ad(g) on the 17-dimensional adjoint representation."""
         m = np.zeros((17, 17), dtype=np.int64)
@@ -269,9 +159,11 @@ class SuperAlgebra:
     def check_axioms(self) -> list[AxiomViolation]:
         """Exhaustive axiom sweep; an empty list certifies the tables.
 
-        Checks super-antisymmetry on all ordered pairs, the super-Jacobi
-        identity on all 17^3 triples, weight compatibility of the bracket,
-        and ad(a^[p]) = ad(a)^p for every even generator.
+        Checks super-antisymmetry on all ordered pairs and weight
+        compatibility of the bracket, then that ad is a restricted
+        representation: given antisymmetry, that is the super-Jacobi identity
+        on all 17^3 triples (one column of the defect of each pair) and
+        ad(a^[p]) = ad(a)^p for every even generator.
         """
         p = self.p
         out: list[AxiomViolation] = []
@@ -299,42 +191,23 @@ class SuperAlgebra:
                                 f"component {names[g]} outside weight {wab}",
                             )
                         )
-        for a in range(17):
-            ea = self.generator(a)
-            for b in range(17):
-                eb = self.generator(b)
-                bc_ready = [self.bracket_gen(b, c) for c in range(17)]
-                for c in range(17):
-                    ec = self.generator(c)
-                    s1 = -1 if PARITY[a] and PARITY[c] else 1
-                    s2 = -1 if PARITY[b] and PARITY[a] else 1
-                    s3 = -1 if PARITY[c] and PARITY[b] else 1
-                    acc = (
-                        self.bracket(ea, bc_ready[c]).scale(s1)
-                        + self.bracket(eb, self.bracket_gen(c, a)).scale(s2)
-                        + self.bracket(ec, self.bracket_gen(a, b)).scale(s3)
-                    )
-                    if not acc.is_zero():
-                        out.append(
-                            AxiomViolation(
-                                "jacobi",
-                                (names[a], names[b], names[c]),
-                                f"defect {acc!r}",
-                            )
-                        )
-        for g in EVEN_GENERATORS:
-            ad = self.ad_matrix(g)
-            adp = np.eye(17, dtype=np.int64)
-            for _ in range(p):
-                adp = adp @ ad % p
-            target = self.ad_matrix(g) if g <= H3 else np.zeros((17, 17), np.int64)
-            if not (adp == target).all():
+        ad = [self.ad_matrix(g) for g in range(17)]
+        for gens, cols in representation_defects(self, ad, (0, 0, 0)):
+            labels = tuple(names[g] for g in gens)
+            if len(gens) == 1:
                 out.append(
                     AxiomViolation(
-                        "restrictedness",
-                        (names[g],),
-                        "ad(g)^p differs from ad(g^[p])",
+                        "restrictedness", labels, "ad(g)^p differs from ad(g^[p])"
                     )
+                )
+            else:  # column c of the defect is the super-Jacobi sum of (a, b, c)
+                out.extend(
+                    AxiomViolation(
+                        "jacobi",
+                        labels + (names[c],),
+                        f"ad([a,b]) differs from the supercommutator on {names[c]}",
+                    )
+                    for c in cols
                 )
         return out
 
@@ -384,6 +257,66 @@ class SuperAlgebra:
                     }
                 )
         return {"p": self.p, "alpha": self.alpha, "pairs": pairs}
+
+
+def _mod(m, p: int):
+    """m reduced mod p, as a new dense array or CSR matrix."""
+    if not sp.issparse(m):
+        return m % p
+    m = m.tocsr(copy=True)
+    m.data %= p
+    m.eliminate_zeros()
+    return m
+
+
+def representation_defects(
+    algebra: SuperAlgebra, mats, chi
+) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Where g -> mats[g] fails to be a restricted representation of algebra.
+
+    mats holds rho(g) for the 17 generators, all numpy arrays or all scipy
+    sparse matrices over F_p; chi = (chi(f1), chi(f2), chi(f3)).  Checks the
+    super-commutator identity
+
+        sum_g C[a,b,g] rho(g) = rho(a) rho(b) - (-1)^{|a||b|} rho(b) rho(a)
+
+    on all 289 ordered pairs, then restrictedness on the even generators:
+    rho(h)^p = rho(h), rho(e)^p = 0 and rho(f_k)^p = chi_k^p * I.  With
+    rho = ad and chi = 0 this is the super-Jacobi identity and the p-map of
+    the algebra; with rho the action on a module it is the module axioms
+    (Kac, "Lie superalgebras", Adv. Math. 26, 1977).
+
+    Returns one (generators, columns) pair per failing identity, in the order
+    above: generators is (a, b) or (g,), and columns holds the sorted basis
+    indices on which the two sides differ.
+    """
+    p = algebra.p
+    out = []
+
+    def check(gens, defect):
+        cols = np.unique(_mod(defect, p).nonzero()[1])
+        if cols.size:
+            out.append((gens, cols))
+
+    for a in range(17):
+        for b in range(17):
+            sign = -1 if PARITY[a] and PARITY[b] else 1
+            defect = mats[a] @ mats[b] - sign * (mats[b] @ mats[a])
+            for g, c in algebra.bracket_items[a][b]:
+                defect = defect - c * mats[g]
+            check((a, b), defect)
+    identity = sp.identity if sp.issparse(mats[0]) else np.eye
+    eye = identity(mats[0].shape[0], dtype=np.int64)
+    for g in range(F3 + 1):
+        power = mats[g]
+        for _ in range(p - 1):
+            power = _mod(power @ mats[g], p)
+        if g <= H3:
+            target = mats[g]
+        else:  # e^[p] = 0 and f_k^[p] = chi_k^p
+            target = pow(chi[g - F1] if g >= F1 else 0, p, p) * eye
+        check((g,), power - target)
+    return out
 
 
 def build_algebra(p: int, alpha: int) -> SuperAlgebra:

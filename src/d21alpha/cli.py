@@ -58,7 +58,8 @@ def _parse_triple(text: str, p: int, label: str) -> tuple[int, int, int]:
 
 
 def _validate_p(p: int, method: str = "graded") -> None:
-    if not is_prime(p) or p <= 3 or p > MAX_P:
+    # the range first: is_prime is trial division, slow for a huge p
+    if not 3 < p <= MAX_P or not is_prime(p):
         raise CliError(f"p must be a prime with 3 < p <= {MAX_P}, got {p}")
     if method in ("full", "both") and p > MAX_P_FULL:
         raise CliError(f"the full (ungraded) method is capped at p <= {MAX_P_FULL}")
@@ -135,7 +136,7 @@ def cmd_check(args) -> int:
         for v in module_violations:
             print(f"module axiom violation: {v}", file=sys.stderr)
     total = len(violations) + len(module_violations)
-    print(f"check p={args.p} alpha={args.alpha}: "
+    print(f"check p={args.p} alpha={alpha}: "
           f"{'ok' if total == 0 else f'{total} violations'}", file=sys.stderr)
     return 0 if total == 0 else 2
 

@@ -18,6 +18,10 @@ def test_check_passes(capsys):
     code, _, err = run(capsys, "check", "--p", "5", "--alpha", "2")
     assert code == 0
     assert "ok" in err
+    # the summary names the residue that was checked, not the raw text
+    code, _, err = run(capsys, "check", "--p", "5", "--alpha", "7", "--algebra-only")
+    assert code == 0
+    assert "check p=5 alpha=2: ok" in err
 
 
 def test_check_rejects_bad_alpha(capsys):
@@ -29,6 +33,13 @@ def test_check_rejects_bad_alpha(capsys):
 def test_check_rejects_composite_p(capsys):
     code, _, _ = run(capsys, "check", "--p", "4", "--alpha", "2")
     assert code == 1
+
+
+def test_huge_p_is_rejected_by_range_before_primality(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would not finish
+    code, _, err = run(capsys, "h1", "--p", str(2**61 - 1))
+    assert code == 1
+    assert "p must be a prime with 3 < p <= 31" in err
 
 
 def test_check_dump_brackets(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d21alpha.algebra import (
-    E2, F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra,
-    generator_weight,
+    E1, E2, F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra,
+    generator_weight, representation_defects,
 )
 from d21alpha.enveloping import (
     J1_CODES, J3_CODES, ConsistencyError, ModuleVector, PBWMonomial, VermaModule,
@@ -231,6 +231,24 @@ def test_block_rejects_action_leaving_its_weight_space(alg):
 )
 def test_module_axioms_spot(p, alpha, lam, chi):
     assert verify_module_axioms(p, alpha, lam, chi) == []
+
+
+def test_representation_defects_flag_a_corrupted_action(module):
+    alg, mats = module.algebra, module.matrices()
+    assert representation_defects(alg, mats, module.chi) == []
+    # checked against chi(f1) = 1, the chi = 0 action fails only f1^p = chi(f1)^p
+    assert [gens for gens, _ in representation_defects(alg, mats, (1, 0, 0))] == [
+        (F1,)
+    ]
+    scaled = list(mats)
+    scaled[E1] = 2 * mats[E1]
+    flagged = [gens for gens, _ in representation_defects(alg, scaled, module.chi)]
+    assert (E1, F1) in flagged and (F1, E1) in flagged  # [e1, f1] = h1
+    # only the identities that see e1 (as an argument or in the bracket) fail
+    for gens in flagged:
+        assert len(gens) == 2
+        a, b = gens
+        assert E1 in gens or E1 in dict(alg.bracket_items[a][b])
 
 
 def test_restrictedness_f_power_matrix(module_chi):
