@@ -119,6 +119,8 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_check(args) -> int:
     _validate_p(args.p)
     alpha = _single_alpha(args.alpha, args.p)
+    lam = _parse_triple(args.lam, args.p, "lambda")
+    chi = _parse_triple(args.chi_f, args.p, "chi-f")
     algebra = build_algebra(args.p, alpha)
     if args.dump_brackets:
         with open(args.dump_brackets, "w", encoding="utf-8") as fh:
@@ -130,8 +132,6 @@ def cmd_check(args) -> int:
               file=sys.stderr)
     module_violations: list[str] = []
     if not args.algebra_only:
-        lam = _parse_triple(args.lam, args.p, "lambda")
-        chi = _parse_triple(args.chi_f, args.p, "chi-f")
         module_violations = verify_module_axioms(args.p, alpha, lam, chi)
         for v in module_violations:
             print(f"module axiom violation: {v}", file=sys.stderr)

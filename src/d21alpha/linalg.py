@@ -1,10 +1,20 @@
 """Exact linear algebra over F_p: RREF, rank, kernels, subspaces.
 
-Kernels are computed by dense elimination (the graded derivation systems).
-The rank of a sparse system (the ungraded oracle) splits it into
-column-connected components and eliminates each component densely.  All
-arithmetic is integer arithmetic mod p; results are canonical, so rank and
-kernel bases do not depend on row order.
+One elimination kernel, `rref`, serves every caller.  A tall matrix M (more
+than twice as many rows as its sketch height cols + SKETCH_EXTRA) is first
+compressed: C = R·M mod p for a random R of shape (cols + SKETCH_EXTRA) x
+rows over F_p, seeded from the shape, p and the draw number, and formed in
+int64 through a sparse product.  ker C contains ker M, so when M·K = 0 for
+a basis K of ker C the two kernels, hence the two row spaces, hence the two
+RREFs are equal, and RREF(C) is returned (Las Vegas preconditioning:
+Kaltofen and Saunders, "On Wiedemann's method of solving sparse linear
+systems", AAECC 1991).  A failed check redraws R; after MAX_DRAWS draws the
+plain per-pivot elimination runs on M itself.  Kernels are read off the
+RREF (the graded derivation systems).  The rank of a sparse system (the
+ungraded oracle) splits it into column-connected components and eliminates
+each component densely.  All arithmetic is integer arithmetic mod p, with
+no floats; results are canonical, so rank and kernel bases do not depend on
+row order or on the sketch.
 """
 from __future__ import annotations
 
@@ -12,9 +22,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+# sketch height is cols + SKETCH_EXTRA; a matrix is tall, and compressed,
+# when it has more than twice that many rows
+SKETCH_EXTRA = 8
+MAX_DRAWS = 3
 
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
+
+def _rref_plain(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF by a full-height update per pivot (the fallback and test oracle)."""
     R = np.array(mat, dtype=np.int64) % p
     rows, cols = R.shape
     pivots: list[int] = []
@@ -35,6 +50,38 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
+
+
+def _kernel_from_rref(
+    E: np.ndarray, pivots: list[int], cols: int, p: int
+) -> np.ndarray:
+    """Basis of {x : Ex = 0}, one row per free column of the RREF E."""
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, np.asarray(pivots, dtype=np.intp)] = (-E[:, free] % p).T
+    return basis
+
+
+def _sketch(rows: int, cols: int, p: int, attempt: int) -> np.ndarray:
+    """R transposed: rows x (cols + SKETCH_EXTRA), uniform over F_p."""
+    rng = np.random.default_rng((rows, cols, p, attempt))
+    return rng.integers(0, p, size=(rows, cols + SKETCH_EXTRA), dtype=np.int64)
+
+
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
+    rows, cols = np.shape(mat)
+    # compress only while every entry of R·M (< rows·p²) fits in int64
+    if rows > 2 * (cols + SKETCH_EXTRA) and rows * (p - 1) ** 2 < 2**63:
+        sparse = sp.csr_matrix(np.asarray(mat, dtype=np.int64) % p)
+        for attempt in range(MAX_DRAWS):
+            C = (sparse.T @ _sketch(rows, cols, p, attempt)).T
+            E, pivots = _rref_plain(C, p)
+            K = _kernel_from_rref(E, pivots, cols, p)
+            if not (sparse @ K.T % p).any():
+                return E, pivots
+    return _rref_plain(mat, p)
 
 
 class Subspace:
@@ -159,10 +206,5 @@ def kernel_basis(M: np.ndarray, p: int) -> Subspace:
     M = np.atleast_2d(np.asarray(M, dtype=np.int64))
     cols = M.shape[1]
     R, pivots = rref(M, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        basis[k, pivots] = -R[:, f] % p
     # Subspace echelonizes the basis into its canonical form
-    return Subspace(basis, cols, p)
+    return Subspace(_kernel_from_rref(R, pivots, cols, p), cols, p)

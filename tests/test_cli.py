@@ -52,6 +52,17 @@ def test_check_dump_brackets(tmp_path, capsys):
     assert entry["value"] == {"h1": 2, "h2": 1, "h3": 2}
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda", "1,2"), ("--chi-f", "1,x,0")])
+def test_check_refuses_bad_input_before_writing(tmp_path, capsys, flag, value):
+    path = tmp_path / "brackets.json"
+    code, out, err = run(capsys, "check", "--p", "5", "--alpha", "2",
+                         flag, value, "--dump-brackets", str(path))
+    assert code == 1
+    assert not path.exists()
+    assert out == ""
+    assert "bracket tensor written" not in err
+
+
 def test_h1_single_point_json(capsys):
     code, out, _ = run(capsys, "h1", "--p", "5", "--alpha", "2",
                        "--lambda", "2,3,3", "--chi-f", "0,0,0")

@@ -1,7 +1,13 @@
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from d21alpha import linalg
+from d21alpha.algebra import build_algebra
+from d21alpha.cohomology import GradedLayout
+from d21alpha.enveloping import VermaModule
 from d21alpha.linalg import SparseMatrix, Subspace, kernel_basis, rank, rref
 
 
@@ -141,3 +147,105 @@ def test_column_components_structure():
     comps = m.column_components()
     groups = sorted(tuple(sorted(cols.tolist())) for _, cols in comps)
     assert groups == [(0, 2), (1,), (3,), (4,), (5,)]
+
+
+def _recording_sketch(monkeypatch, zero_attempts=()):
+    """Record every sketch draw; draws in zero_attempts lose all rank."""
+    draws = []
+    real = linalg._sketch
+
+    def sketch(rows, cols, p, attempt):
+        draws.append(attempt)
+        R = real(rows, cols, p, attempt)
+        return R * 0 if attempt in zero_attempts else R
+
+    monkeypatch.setattr(linalg, "_sketch", sketch)
+    return draws
+
+
+def _same_rref(mat, p):
+    E, piv = rref(mat, p)
+    E0, piv0 = linalg._rref_plain(mat, p)
+    return piv == piv0 and E.shape == E0.shape and (E == E0).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([5, 7, 31]),
+    cols=st.integers(1, 14),
+    extra_rows=st.integers(1, 60),
+    rank_kind=st.sampled_from(["zero", "deficient", "full"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compressed_rref_equals_plain_on_tall_matrices(
+    p, cols, extra_rows, rank_kind, seed
+):
+    rng = np.random.default_rng(seed)
+    rows = 2 * (cols + linalg.SKETCH_EXTRA) + extra_rows
+    r = {"zero": 0, "deficient": int(rng.integers(0, cols)), "full": cols}[rank_kind]
+    mat = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols)) % p
+    # sparsify the rows, as the derivation systems are sparse
+    mat[rng.random(rows) < 0.3] = 0
+    if rank_kind == "full":
+        mat[:cols] = np.eye(cols, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        draws = _recording_sketch(mp)
+        assert _same_rref(mat, p)
+    assert draws, "a tall matrix must take the compressed path"
+    if rank_kind == "full":
+        assert rref(mat, p)[1] == list(range(cols))
+
+
+@pytest.mark.parametrize("p, alpha, lam, chi", [
+    (5, 2, (2, 3, 3), (0, 0, 0)),
+    (7, 3, (2, 5, 5), (0, 0, 0)),
+    (13, 2, (1, 2, 3), (1, 0, 0)),
+    (31, 5, (1, 2, 3), (0, 0, 0)),
+])
+def test_compressed_rref_equals_plain_on_graded_systems(monkeypatch, p, alpha, lam, chi):
+    draws = _recording_sketch(monkeypatch)
+    module = VermaModule(build_algebra(p, alpha), lam, chi)
+    for parity in (0, 1):
+        system = GradedLayout(module, parity).equations()
+        assert system.shape[0] > 2 * (system.shape[1] + linalg.SKETCH_EXTRA)
+        assert _same_rref(system, p)
+        E0, piv0 = linalg._rref_plain(system, p)
+        plain_kernel = Subspace(
+            linalg._kernel_from_rref(E0, piv0, system.shape[1], p), system.shape[1], p
+        )
+        assert kernel_basis(system, p) == plain_kernel
+        assert not (system @ plain_kernel.basis.T % p).any()
+    assert draws
+
+
+def test_rank_losing_sketch_is_redrawn(monkeypatch):
+    rng = np.random.default_rng(11)
+    p = 7
+    mat = rng.integers(0, p, size=(120, 20)) @ rng.integers(0, p, size=(20, 30)) % p
+    draws = _recording_sketch(monkeypatch, zero_attempts={0})
+    assert _same_rref(mat, p)
+    assert draws == [0, 1]
+
+
+def test_rank_losing_sketch_falls_back_to_plain_elimination(monkeypatch):
+    rng = np.random.default_rng(13)
+    p = 5
+    mat = rng.integers(0, p, size=(120, 20)) @ rng.integers(0, p, size=(20, 30)) % p
+    expected = linalg._rref_plain(mat, p)
+    draws = _recording_sketch(monkeypatch, zero_attempts=set(range(linalg.MAX_DRAWS)))
+    E, piv = rref(mat, p)
+    assert draws == list(range(linalg.MAX_DRAWS))
+    assert piv == expected[1] and len(piv) == 20
+    assert (E == expected[0]).all()
+    assert kernel_basis(mat, p).dim == 10
+
+
+def test_no_compression_when_the_sketch_product_could_overflow(monkeypatch):
+    p = 2**31 - 1  # rows * (p - 1)^2 exceeds int64 for any tall matrix here
+    mat = np.zeros((40, 3), dtype=np.int64)
+    mat[:3] = [[1, 2, 3], [2, 4, 6], [0, 0, p - 1]]
+    draws = _recording_sketch(monkeypatch)
+    E, piv = rref(mat, p)
+    assert draws == []
+    assert piv == [0, 2]
+    assert E.tolist() == [[1, 2, 0], [0, 0, 1]]
