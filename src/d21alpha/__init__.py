@@ -2,24 +2,19 @@
 
 from .algebra import SuperAlgebra, build_algebra
 from .cohomology import (
-    DerivationMap, H1Result, full_derivation_dims, h1, inner_derivation,
-    is_outer, psi, zero_weight_derivations, zero_weight_inner_space,
+    DerivationMap, H1Result, full_derivation_dims, h1, psi, zero_weight_inner_space,
 )
-from .enveloping import ModuleVector, PBWMonomial, VermaModule
+from .enveloping import PBWMonomial, VermaModule
 
 __all__ = [
     "DerivationMap",
     "H1Result",
-    "ModuleVector",
     "PBWMonomial",
     "SuperAlgebra",
     "VermaModule",
     "build_algebra",
     "full_derivation_dims",
     "h1",
-    "inner_derivation",
-    "is_outer",
     "psi",
-    "zero_weight_derivations",
     "zero_weight_inner_space",
 ]

@@ -17,8 +17,8 @@ import numpy as np
 from . import linalg
 from .algebra import build_algebra
 from .cohomology import (
-    ConsistencyError, GradedLayout, PSI_REGIMES, compute_point,
-    full_derivation_dims, h1, psi, psi_lambda, zero_weight_inner_space,
+    ConsistencyError, PSI_REGIMES, compute_point, full_derivation_dims, h1, psi,
+    psi_lambda, zero_weight_inner_space,
 )
 from .enveloping import PBWMonomial, VermaModule, verify_module_axioms
 from .field import is_prime
@@ -99,10 +99,16 @@ def _jobs(args) -> int:
     """Requested worker count (--jobs, else H1_JOBS), capped at the CPU count."""
     cpus = os.cpu_count() or 1
     if args.jobs is not None:
-        requested = args.jobs
+        requested, source = args.jobs, "--jobs"
     else:
-        requested = int(os.environ.get("H1_JOBS") or cpus)
-    return max(1, min(requested, cpus))
+        text = os.environ.get("H1_JOBS") or str(cpus)
+        try:
+            requested, source = int(text), "H1_JOBS"
+        except ValueError:
+            raise CliError(f"H1_JOBS must be an integer, got {text!r}") from None
+    if requested < 1:
+        raise CliError(f"{source} must be at least 1, got {requested}")
+    return min(requested, cpus)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -258,13 +264,12 @@ def cmd_verify_psi(args) -> int:
     module = VermaModule(build_algebra(p, alpha), lam, (0, 0, 0))
     result = h1(module)
     _, parity, names = PSI_REGIMES[which]
-    layout = GradedLayout(module, parity)
     inner = zero_weight_inner_space(module, parity)
     span_vectors = list(inner.basis)
     for rep in result.representatives:
         if rep.parity == parity:
-            span_vectors.append(layout.encode(rep.images))
-    span = linalg.Subspace.from_vectors(span_vectors, layout.ncols, module.p)
+            span_vectors.append(rep.coords)
+    span = linalg.Subspace.from_vectors(span_vectors, inner.ambient_dim, module.p)
     directions = []
     reduced_classes = []
     notes: tuple[str, ...] = ()
@@ -274,14 +279,15 @@ def cmd_verify_psi(args) -> int:
         params[k] = 1
         built = psi(which, params, module)
         notes = built.notes
-        encoded = layout.encode(built.map.images)
-        outer = bool(inner.reduce(encoded).any())
-        in_span = span.contains(encoded)
-        reduced_classes.append(inner.reduce(encoded))
+        reduced = inner.reduce(built.map.coords)
+        outer = bool(reduced.any())
+        in_span = span.contains(built.map.coords)
+        reduced_classes.append(reduced)
         directions.append(
             {
                 "param": name,
-                "completion": built.completion,
+                # psi extends its listed images by zero or raises
+                "completion": "zero_extension",
                 "derivation": True,
                 "outer": outer,
                 "in_h1_span": in_span,

@@ -24,12 +24,11 @@ import numpy as np
 from . import linalg
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4,
-    GENERATOR_INDEX, GENERATOR_NAMES, PARITY, build_algebra,
+    GENERATOR_NAMES, PARITY, build_algebra,
 )
 # ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
-    J1_CODES, J3_CODES, ConsistencyError, ModuleVector, VermaModule, decode,
-    monomial_parity,
+    J1_CODES, J3_CODES, ConsistencyError, VermaModule, decode, monomial_parity,
 )
 
 EVEN_THETAS = J1_CODES
@@ -47,67 +46,53 @@ def _thetas_for(gen_parity: int, phi_parity: int):
 
 @dataclass
 class DerivationMap:
-    """A parity-homogeneous linear map g -> M given by its 17 images."""
+    """A parity-homogeneous 0-weight map g -> M as its 136 graded coordinates.
+
+    phi(b) lies in the weight-beta_b space, and coords[b*8 + i] is its
+    coefficient on the monomial with theta code _thetas_for(|b|, parity)[i]
+    there: the column order of GradedLayout.
+    """
 
     parity: int
-    images: dict[int, ModuleVector]
-
-    def image(self, g: int | str) -> ModuleVector:
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
-        return self.images[g]
+    coords: np.ndarray
 
     def defects(self, module: VermaModule) -> list[tuple[str, str]]:
-        """Ordered generator pairs violating the derivation identity."""
-        par = self.parity
-        alg = module.algebra
-        bad = []
-        for a in range(17):
-            for b in range(17):
-                lhs = ModuleVector(module.p)
-                for g, c in alg.bracket_items[a][b]:
-                    lhs = lhs + self.images[g].scale(c)
-                s1 = -1 if par and PARITY[a] else 1
-                s2 = -1 if PARITY[b] and (par + PARITY[a]) % 2 else 1
-                rhs = module.act(a, self.images[b]).scale(s1) - module.act(
-                    b, self.images[a]
-                ).scale(s2)
-                if lhs != rhs:
-                    bad.append((GENERATOR_NAMES[a], GENERATOR_NAMES[b]))
-        return bad
+        """Ordered generator pairs violating the derivation identity.
 
-    def is_zero_weight(self, module: VermaModule) -> bool:
-        for b in range(17):
-            beta = module.algebra.weights[b]
-            for n in self.images[b].coeffs:
-                if module.weight_of_monomial(n) != beta:
-                    return False
-        return True
-
-    def scale(self, c: int) -> "DerivationMap":
-        return DerivationMap(self.parity, {g: v.scale(c) for g, v in self.images.items()})
-
-    def add(self, other: "DerivationMap") -> "DerivationMap":
-        return DerivationMap(
-            self.parity, {g: self.images[g] + other.images[g] for g in range(17)}
-        )
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.images.values())
+        Checks phi([a,b]) = s1 a.phi(b) - s2 b.phi(a) on all 289 ordered pairs
+        at once, as 16-vectors over the theta codes of weight beta_a + beta_b.
+        Phi (17 x 16) holds phi(b) over the theta codes of weight beta_b, the
+        bracket side is C.Phi with C the structure constants, and the action
+        side reads module.block(a, beta_b), only where phi(b) is nonzero.
+        """
+        p, alg, par = module.p, module.algebra, np.array(PARITY)
+        thetas = np.array([_thetas_for(PARITY[b], self.parity) for b in range(17)])
+        Phi = np.zeros((17, 16), dtype=np.int64)
+        Phi[np.arange(17)[:, None], thetas] = np.reshape(self.coords, (17, 8))
+        C = np.array([alg.ad_matrix(a) for a in range(17)])  # C[a, g, b]
+        lhs = np.einsum("agb,gk->abk", C, Phi)
+        blocks = np.zeros((17, 17, 16, 16), dtype=np.int64)
+        for b in np.flatnonzero(Phi.any(axis=1)):
+            for a in range(17):
+                blocks[a, b] = module.block(a, alg.weights[b])
+        acts = np.einsum("abrc,bc->abr", blocks, Phi)  # acts[a, b] = a.phi(b)
+        s1 = (-1) ** (self.parity * par)  # (-1)^{|phi||a|}
+        s2 = (-1) ** np.outer(self.parity + par, par)  # (-1)^{|b|(|phi|+|a|)}
+        rhs = s1[:, None, None] * acts - s2[:, :, None] * acts.transpose(1, 0, 2)
+        bad = np.argwhere(((lhs - rhs) % p).any(axis=2))
+        return [(GENERATOR_NAMES[a], GENERATOR_NAMES[b]) for a, b in bad]
 
 
-def inner_derivation(m: ModuleVector, module: VermaModule) -> DerivationMap:
-    """D_m(x) = (-1)^{|x||m|} x m for a parity-homogeneous m."""
-    mp = m.parity()
-    if mp is None and not m.is_zero():
-        raise ValueError("inner derivation requires a parity-homogeneous element")
-    if mp is None:
-        mp = 0
-    images = {}
-    for b in range(17):
-        sign = -1 if PARITY[b] and mp else 1
-        images[b] = module.act(b, m).scale(sign)
-    return DerivationMap(mp, images)
+def _image_support(phi: DerivationMap, module: VermaModule, g: int) -> list[list[int]]:
+    """[monomial index, coefficient] pairs of phi(g), sorted by index."""
+    layout = GradedLayout(module, phi.parity)
+    beta = module.algebra.weights[g]
+    support = []
+    for code in layout.thetas[g]:
+        c = int(phi.coords[layout.col(g, code)]) % module.p
+        if c:
+            support.append([module.w_index(beta, code), c])
+    return sorted(support)
 
 
 class GradedLayout:
@@ -122,37 +107,9 @@ class GradedLayout:
     def col(self, b: int, code: int) -> int:
         return b * 8 + _THETA_POS[(PARITY[b] + self.parity) % 2][code]
 
-    def encode(self, images: dict[int, ModuleVector]) -> np.ndarray:
-        """Coordinates of a 0-weight map; rejects stray support."""
-        module = self.module
-        vec = np.zeros(self.ncols, dtype=np.int64)
-        for b in range(17):
-            beta = module.algebra.weights[b]
-            allowed = {module.w_index(beta, code): code for code in self.thetas[b]}
-            for n, c in images[b].items():
-                if n not in allowed:
-                    raise ValueError(
-                        f"image of {GENERATOR_NAMES[b]} leaves its graded block"
-                    )
-                vec[self.col(b, allowed[n])] = c
-        return vec
-
-    def decode(self, vec: np.ndarray) -> DerivationMap:
-        module = self.module
-        images = {}
-        for b in range(17):
-            beta = module.algebra.weights[b]
-            coeffs = {}
-            for code in self.thetas[b]:
-                c = int(vec[self.col(b, code)]) % module.p
-                if c:
-                    coeffs[module.w_index(beta, code)] = c
-            images[b] = ModuleVector(module.p, coeffs)
-        return DerivationMap(self.parity, images)
-
     # -- the linear system -------------------------------------------------
 
-    def equations(self, with_tags: bool = False):
+    def equations(self) -> np.ndarray:
         """Rows of the 0-weight derivation system, cached on the module.
 
         Each unordered pair {a,b} contributes the derivation identity
@@ -167,14 +124,12 @@ class GradedLayout:
             cache = module._equation_cache = {}
         cached = cache.get(self.parity)
         if cached is not None:
-            mat, tags = cached
-            return (mat, tags) if with_tags else mat
+            return cached
         p = module.p
         par = self.parity
         weights = module.algebra.weights
         bracket = module.algebra.bracket_items
         rows: list[np.ndarray] = []
-        tags: list[tuple[str, str, int]] = []
         pairs = [(a, b) for a in range(17) for b in range(a + 1, 17)]
         pairs += [(a, a) for a in range(17) if PARITY[a]]
         for a, b in pairs:
@@ -197,17 +152,14 @@ class GradedLayout:
             for g, u, sign in actions:
                 block = module.block(g, weights[u])[np.ix_(row_codes, self.thetas[u])]
                 eq[:, u * 8:(u + 1) * 8] += sign * block
-            for r, code in enumerate(row_codes):
-                if eq[r].any():
-                    rows.append(eq[r] % p)
-                    tags.append((GENERATOR_NAMES[a], GENERATOR_NAMES[b], code))
+            rows.extend(row % p for row in eq if row.any())
         mat = (
             np.array(rows, dtype=np.int64)
             if rows
             else np.zeros((0, self.ncols), dtype=np.int64)
         )
-        cache[self.parity] = (mat, tags)
-        return (mat, tags) if with_tags else mat
+        cache[self.parity] = mat
+        return mat
 
     def inner_vectors(self) -> list[np.ndarray]:
         """Encodings of D_m over the weight-0 basis monomials of this parity."""
@@ -239,11 +191,6 @@ def graded_spaces(
     return cached
 
 
-def zero_weight_derivations(module: VermaModule, parity: int) -> linalg.Subspace:
-    """Canonical basis of the 0-weight derivations of one parity."""
-    return graded_spaces(module, parity)[0]
-
-
 def zero_weight_inner_space(module: VermaModule, parity: int) -> linalg.Subspace:
     """Canonical span of the encoded 0-weight inner derivations."""
     return graded_spaces(module, parity)[1]
@@ -251,10 +198,7 @@ def zero_weight_inner_space(module: VermaModule, parity: int) -> linalg.Subspace
 
 @dataclass
 class H1Result:
-    p: int
-    alpha: int
-    lam: tuple[int, int, int]
-    chi_f: tuple[int, int, int]
+    module: VermaModule
     dim_even: int
     dim_odd: int
     representatives: list[DerivationMap] = field(default_factory=list)
@@ -265,21 +209,20 @@ class H1Result:
         return (self.dim_even, self.dim_odd)
 
     def to_json_dict(self) -> dict:
+        module = self.module
         reps = []
         for rep in self.representatives:
-            images = {}
-            for g in range(17):
-                images[GENERATOR_NAMES[g]] = [
-                    [n, c] for n, c in sorted(rep.images[g].items())
-                ]
+            images = {
+                GENERATOR_NAMES[g]: _image_support(rep, module, g) for g in range(17)
+            }
             reps.append(
                 {"parity": "even" if rep.parity == 0 else "odd", "images": images}
             )
         return {
-            "p": self.p,
-            "alpha": self.alpha,
-            "lambda": list(self.lam),
-            "chi_f": list(self.chi_f),
+            "p": module.p,
+            "alpha": module.algebra.alpha,
+            "lambda": list(module.lam),
+            "chi_f": list(module.chi),
             "h1": {"even": self.dim_even, "odd": self.dim_odd},
             "representatives": reps,
         }
@@ -290,15 +233,14 @@ def h1(module: VermaModule) -> H1Result:
 
     Per parity: the quotient of the 0-weight derivation space by the inner
     subspace.  Representatives are kernel basis vectors reduced modulo the
-    inner space, re-echelonized, decoded, and re-verified against the
-    derivation identity on all generator pairs.
+    inner space, re-echelonized, and re-verified against the derivation
+    identity on all generator pairs.
     """
     p = module.p
     dims = {}
     graded = {}
     reps: list[DerivationMap] = []
     for parity in (0, 1):
-        layout = GradedLayout(module, parity)
         kernel, inner = graded_spaces(module, parity)
         if not kernel.contains_subspace(inner):
             raise ConsistencyError("inner derivations fall outside the kernel")
@@ -311,51 +253,11 @@ def h1(module: VermaModule) -> H1Result:
             if basis.shape[0] != dims[parity]:
                 raise ConsistencyError("representative extraction lost rank")
             for row in basis:
-                rep = layout.decode(row)
+                rep = DerivationMap(parity, row)
                 if rep.defects(module):
                     raise ConsistencyError("representative fails the identity")
                 reps.append(rep)
-    return H1Result(
-        p,
-        module.algebra.alpha,
-        module.lam,
-        module.chi,
-        dims[0],
-        dims[1],
-        reps,
-        graded,
-    )
-
-
-def is_outer(phi: DerivationMap, module: VermaModule) -> bool:
-    """True when phi is a derivation outside the inner span."""
-    if phi.defects(module):
-        raise ValueError("map does not satisfy the derivation identity")
-    if phi.is_zero_weight(module):
-        layout = GradedLayout(module, phi.parity)
-        inner = graded_spaces(module, phi.parity)[1]
-        return bool(inner.reduce(layout.encode(phi.images)).any())
-    ider, half, positions = _full_inner_matrix(module, phi.parity)
-    extra = np.zeros(17 * half, dtype=np.int64)
-    for b in range(17):
-        pos = positions[(PARITY[b] + phi.parity) % 2]
-        for n, c in phi.images[b].items():
-            if pos[n] < 0:
-                raise ValueError("image parity does not match the map parity")
-            extra[b * half + pos[n]] = c
-    base_rank = linalg.rank(ider)
-    rows = ider.csr.tocoo()
-    stacked = linalg.SparseMatrix(
-        ider.shape[0] + 1,
-        ider.shape[1],
-        (
-            np.concatenate([rows.row, np.full(np.count_nonzero(extra), ider.shape[0])]),
-            np.concatenate([rows.col, np.nonzero(extra)[0]]),
-            np.concatenate([rows.data, extra[np.nonzero(extra)[0]]]),
-        ),
-        module.p,
-    )
-    return linalg.rank(stacked) > base_rank
+    return H1Result(module, dims[0], dims[1], reps, graded)
 
 
 # -- ungraded oracle ---------------------------------------------------------
@@ -376,7 +278,7 @@ def _parity_positions(module: VermaModule):
     return mp, lists, positions
 
 
-def _full_inner_matrix(module: VermaModule, parity: int):
+def _full_inner_matrix(module: VermaModule, parity: int) -> linalg.SparseMatrix:
     """Rows encode D_m over the basis m of the given parity."""
     p = module.p
     mats = module.matrices()
@@ -400,11 +302,7 @@ def _full_inner_matrix(module: VermaModule, parity: int):
         np.concatenate(cols),
         np.concatenate(vals),
     )
-    return (
-        linalg.SparseMatrix(len(m_list), 17 * half, entries, p),
-        half,
-        positions,
-    )
+    return linalg.SparseMatrix(len(m_list), 17 * half, entries, p)
 
 
 def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
@@ -466,8 +364,7 @@ def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
         p,
     )
     dim_der = 17 * half - linalg.rank(system)
-    inner, _, _ = _full_inner_matrix(module, parity)
-    dim_ider = linalg.rank(inner)
+    dim_ider = linalg.rank(_full_inner_matrix(module, parity))
     return dim_der, dim_ider
 
 
@@ -486,7 +383,6 @@ PSI_REGIMES = {
 class PsiDerivation:
     which: int
     map: DerivationMap
-    completion: str  # zero_extension | completed_unique | completed_canonical
     notes: tuple[str, ...]
 
 
@@ -582,12 +478,11 @@ def _psi_theta_images(which: int, params, module: VermaModule):
 
 
 def psi(which: int, params, module: VermaModule) -> PsiDerivation:
-    """One of the four outer families, zero-extended or completed.
+    """One of the four outer families, extended by zero off its listed images.
 
     The module must be built at the matching lambda residues with chi = 0.
-    Listed images are fixed; if the zero extension on the remaining
-    generators fails the derivation identity, the missing images are solved
-    for from the graded system (canonical solution when underdetermined).
+    Raises ConsistencyError, naming the first failing generator pair, when the
+    zero extension is not a derivation.
     """
     lam_req, parity, names = PSI_REGIMES[which]
     p = module.p
@@ -601,48 +496,20 @@ def psi(which: int, params, module: VermaModule) -> PsiDerivation:
     if len(params) != len(names):
         raise ValueError(f"psi{which} takes parameters {names}")
     theta_images, notes = _psi_theta_images(which, tuple(params), module)
-    images = {}
-    for b in range(17):
-        beta = module.algebra.weights[b]
-        coeffs = {}
-        for code, c in theta_images.get(b, {}).items():
-            coeffs[module.w_index(beta, code)] = c
-        images[b] = ModuleVector(p, coeffs)
-    candidate = DerivationMap(parity, images)
-    if not candidate.defects(module):
-        return PsiDerivation(which, candidate, "zero_extension", tuple(notes))
-    # fix the listed coordinates, solve for the rest
     layout = GradedLayout(module, parity)
-    system, tags = layout.equations(with_tags=True)
-    listed = sorted(theta_images)
-    listed_cols = [layout.col(b, code) for b in listed for code in layout.thetas[b]]
-    free_cols = [c for c in range(layout.ncols) if c not in set(listed_cols)]
-    fixed = layout.encode(images)
-    rhs = (-system[:, listed_cols] @ fixed[listed_cols]) % p
-    reduced, pivots = linalg.rref(
-        np.hstack([system[:, free_cols], rhs[:, None]]), p
-    )
-    width = len(free_cols)
-    if width in pivots:
-        certificate = linalg.kernel_basis(system[:, free_cols].T, p)
-        for y in certificate.basis:
-            if int(y @ rhs % p):
-                witness = tags[int(np.nonzero(y)[0][0])]
-                raise ConsistencyError(
-                    f"psi{which} cannot be completed; identity violated at "
-                    f"pair ({witness[0]}, {witness[1]})"
-                )
-        raise ConsistencyError(f"psi{which} completion system is inconsistent")
-    solution = np.zeros(width, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        solution[c] = reduced[r, width] if c < width else 0
-    full = fixed.copy()
-    full[free_cols] = solution
-    completed = layout.decode(full)
-    if completed.defects(module):
-        raise ConsistencyError(f"psi{which} completion failed verification")
-    path = "completed_unique" if len(pivots) == width else "completed_canonical"
-    return PsiDerivation(which, completed, path, tuple(notes))
+    coords = np.zeros(layout.ncols, dtype=np.int64)
+    for b, images in theta_images.items():
+        for code, c in images.items():
+            coords[layout.col(b, code)] = c
+    built = DerivationMap(parity, coords)
+    bad = built.defects(module)
+    if bad:
+        raise ConsistencyError(
+            f"psi{which} at p={p} alpha={module.algebra.alpha} lambda={module.lam}: "
+            f"the zero extension fails the derivation identity at pair "
+            f"({bad[0][0]}, {bad[0][1]})"
+        )
+    return PsiDerivation(which, built, tuple(notes))
 
 
 # -- structural checks ---------------------------------------------------------
@@ -659,16 +526,16 @@ def check_lemma_h_images(module: VermaModule) -> list[str]:
     allowed = {module.w_index((0, 0, 0), 15)} if special else set()
     bad = []
     for parity in (0, 1):
-        layout = GradedLayout(module, parity)
         kernel = graded_spaces(module, parity)[0]
         for k, row in enumerate(kernel.basis):
-            phi = layout.decode(row)
+            phi = DerivationMap(parity, row)
             for i, h in enumerate((H1, H2, H3)):
-                stray = set(phi.images[h].coeffs) - allowed
+                support = _image_support(phi, module, h)
+                stray = [n for n, _ in support if n not in allowed]
                 if stray:
                     bad.append(
                         f"parity {parity} basis vector {k}: phi(h{i+1}) has "
-                        f"unexpected support {sorted(stray)}"
+                        f"unexpected support {stray}"
                     )
     return bad
 
@@ -682,11 +549,7 @@ def check_f_coupling(module: VermaModule) -> list[str]:
     """
     p = module.p
     bad = []
-    f_weights = []
-    for i in range(3):
-        w = [0, 0, 0]
-        w[i] = -2
-        f_weights.append(tuple(v % p for v in w))
+    f_weights = module.algebra.weights[F1:F3 + 1]
 
     def wrap_factor(k: int, beta, code: int) -> int:
         # exponent of f_k in the weight-beta basis monomial tagged code
@@ -697,15 +560,10 @@ def check_f_coupling(module: VermaModule) -> list[str]:
         layout = GradedLayout(module, parity)
         kernel = graded_spaces(module, parity)[0]
         for idx, row in enumerate(kernel.basis):
-            phi = layout.decode(row)
-            coeff = []
-            for i in range(3):
-                per_theta = {}
-                for code in layout.thetas[F1 + i]:
-                    per_theta[code] = phi.images[F1 + i].get(
-                        module.w_index(f_weights[i], code)
-                    )
-                coeff.append(per_theta)
+            coeff = [
+                {code: int(row[layout.col(g, code)]) for code in layout.thetas[g]}
+                for g in (F1, F2, F3)
+            ]
             for k in range(3):
                 for l in range(3):
                     if k == l:

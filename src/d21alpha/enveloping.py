@@ -108,16 +108,6 @@ Y_WORDS = tuple(
     tuple(Y1 + k for k, jk in enumerate(theta_tuple(c)) if jk) for c in range(16)
 )
 
-# The 15 weights carried by the generators (as un-reduced integer triples).
-TARGET_WEIGHTS = (
-    (0, 0, 0),
-    (2, 0, 0), (0, 2, 0), (0, 0, 2),
-    (-2, 0, 0), (0, -2, 0), (0, 0, -2),
-    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-    (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
-)
-
-
 @dataclass(frozen=True)
 class PBWMonomial:
     """Exponent data of one basis monomial f1^i1 f2^i2 f3^i3 y^j (x) v."""
@@ -133,78 +123,13 @@ class PBWMonomial:
         i1, i2, i3, code = decode(n, p)
         return cls((i1, i2, i3), theta_tuple(code))
 
-    @property
-    def parity(self) -> int:
-        return monomial_parity(theta_code(self.j))
-
 
 @dataclass(frozen=True)
 class WeightSpaceBasis:
     """The 16 basis monomials of one weight space of the module."""
 
     beta: tuple[int, int, int]
-    is_target: bool
     entries: tuple[tuple[int, PBWMonomial], ...]  # (theta code, monomial)
-
-
-class ModuleVector:
-    """Sparse module element: monomial index -> nonzero coefficient."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: dict[int, int] | None = None):
-        self.p = p
-        self.coeffs = {n: c % p for n, c in (coeffs or {}).items() if c % p}
-
-    @classmethod
-    def basis_vector(cls, p: int, n: int) -> "ModuleVector":
-        return cls(p, {n: 1})
-
-    def items(self):
-        return self.coeffs.items()
-
-    def get(self, n: int) -> int:
-        return self.coeffs.get(n, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            v = (out.get(n, 0) + c) % self.p
-            if v:
-                out[n] = v
-            elif n in out:
-                del out[n]
-        return ModuleVector(self.p, out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "ModuleVector":
-        return ModuleVector(self.p, {n: v * c for n, v in self.coeffs.items()})
-
-    def parity(self) -> int | None:
-        pars = {monomial_parity(n) for n in self.coeffs}
-        if len(pars) == 1:
-            return pars.pop()
-        return None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ModuleVector)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*m[{n}]" for n, c in sorted(self.coeffs.items()))
 
 
 # Generators whose blocks are commutators of other generators' blocks:
@@ -265,15 +190,11 @@ class VermaModule:
         """All 16 basis monomials of weight beta (beta arbitrary)."""
         p = self.p
         beta = tuple(b % p for b in beta)
-        targets = {tuple(b % p for b in t) for t in TARGET_WEIGHTS}
         entries = tuple(
             (code, PBWMonomial.from_index(self.w_index(beta, code), p))
             for code in range(16)
         )
-        return WeightSpaceBasis(beta, beta in targets, entries)
-
-    def highest_weight_vector(self) -> ModuleVector:
-        return ModuleVector.basis_vector(self.p, 0)
+        return WeightSpaceBasis(beta, entries)
 
     def weight_decomposition(self) -> dict[tuple[int, int, int], list[int]]:
         """Monomial indices grouped by weight, in index order."""
@@ -373,12 +294,15 @@ class VermaModule:
                 del out[n]
         return out
 
-    def normal_form(self, word, scalar: int = 1) -> ModuleVector:
-        """PBW normal form of scalar * word * v; word items are indices or names."""
-        idx = [GENERATOR_INDEX[g] if isinstance(g, str) else g for g in word]
-        return ModuleVector(self.p, self._normal_form_raw(idx, scalar))
+    def normal_form(self, word, scalar: int = 1) -> dict[int, int]:
+        """PBW normal form of scalar * word * v as {index: coefficient}.
 
-    def normal_form_randomized(self, word, rng, scalar: int = 1) -> ModuleVector:
+        Word items are generator indices or names.
+        """
+        idx = [GENERATOR_INDEX[g] if isinstance(g, str) else g for g in word]
+        return self._normal_form_raw(idx, scalar)
+
+    def normal_form_randomized(self, word, rng, scalar: int = 1) -> dict[int, int]:
         """Confluence oracle: reduce with randomly chosen rewrite positions."""
         p = self.p
         par = PARITY
@@ -412,7 +336,7 @@ class VermaModule:
                     out[n] = t
                 elif n in out:
                     del out[n]
-        return ModuleVector(self.p, out)
+        return out
 
     # -- generator action ----------------------------------------------------
 
@@ -488,25 +412,6 @@ class VermaModule:
         B.flags.writeable = False
         self._blocks[key] = B
         return B
-
-    def act(self, g: int | str, vec: ModuleVector) -> ModuleVector:
-        """Action of a generator on a module element."""
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
-        if vec.p != self.p:
-            raise ValueError("vector belongs to a different module")
-        p = self.p
-        spaces: dict[tuple[int, int, int], np.ndarray] = {}
-        for n, c in vec.items():
-            beta = monomial_weight(n, self.lam, p)
-            spaces.setdefault(beta, np.zeros(16, dtype=np.int64))[decode(n, p)[3]] = c
-        out: dict[int, int] = {}
-        for beta, x in spaces.items():
-            y = self.block(g, beta) @ x % p
-            target = self._space(self._shifted(beta, g))
-            for r in np.flatnonzero(y).tolist():
-                out[target[r]] = int(y[r])
-        return ModuleVector(p, out)
 
     # -- materialized matrices -------------------------------------------------
 

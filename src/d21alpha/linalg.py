@@ -149,11 +149,6 @@ class SparseMatrix:
         m.eliminate_zeros()
         self.csr = m
 
-    @property
-    def entries(self) -> list[tuple[int, int, int]]:
-        m = self.csr.tocoo()
-        return sorted(zip(m.row.tolist(), m.col.tolist(), m.data.tolist()))
-
     def to_dense(self) -> np.ndarray:
         return np.asarray(self.csr.todense(), dtype=np.int64)
 

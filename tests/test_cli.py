@@ -1,3 +1,4 @@
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -153,6 +154,23 @@ def test_scan_worker_count_is_capped(monkeypatch, capsys):
     assert requested == [3, 3, 2]
 
 
+def test_scan_rejects_a_nonpositive_jobs_flag(capsys):
+    code, out, err = run(capsys, "scan", "--p", "5", "--alpha", "2", "--lambda",
+                         "0,0,0", "--jobs", "-3")
+    assert code == 1
+    assert out == ""
+    assert "--jobs must be at least 1, got -3" in err
+
+
+def test_scan_rejects_a_non_integer_h1_jobs(monkeypatch, capsys):
+    monkeypatch.setenv("H1_JOBS", "abc")
+    code, out, err = run(capsys, "scan", "--p", "5", "--alpha", "2", "--lambda",
+                         "0,0,0")
+    assert code == 1
+    assert out == ""
+    assert "H1_JOBS must be an integer, got 'abc'" in err
+
+
 @pytest.mark.parametrize("error,exit_code", [(ConsistencyError, 2), (ValueError, 1)])
 def test_failing_scan_point_names_itself(monkeypatch, capsys, error, exit_code):
     def fail(p, alpha, lam, chi):
@@ -229,3 +247,27 @@ def test_h1_rejects_alpha_sweep(capsys):
 
 def test_missing_subcommand_is_parameter_error(capsys):
     assert main([]) == 1
+
+
+# sha256 of the stdout of each command, as printed before derivation maps were
+# held as graded coordinates; the representative and psi JSON must not move
+PINNED_OUTPUTS = [
+    (["h1", "--p", "5", "--alpha", "2", "--lambda", "2,3,3"],
+     "e7bac68bc237b41bf7097ba8eae28151488211359f65ba3abfd6f018d18bf54d"),
+    (["h1", "--p", "5", "--alpha", "2", "--lambda", "3,2,2"],
+     "0129b2ba96bbfbf4c0311ba78034d7f44b6a073c37a8477be5b6da55d296c97b"),
+    (["h1", "--p", "7", "--alpha", "3", "--lambda", "2,5,0"],
+     "62ac9cdd053e9d129cd88c5c4fe139fdee97fbce8a62868b4ea4b1e2b27452ec"),
+    (["verify-psi", "--which", "1", "--p", "5", "--alpha", "2"],
+     "5709cb39130cf7074242c44380af824449cedf42228e21b0e77ba71080e02667"),
+    (["verify-psi", "--which", "4", "--p", "5", "--alpha", "2"],
+     "e70067f4af2871c002ab78bb14ed8807a1604c368d464cf195f94b9dfd931650"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
+                         ids=["-".join(argv[:7:2]) for argv, _ in PINNED_OUTPUTS])
+def test_outputs_are_byte_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,15 +4,17 @@ import random
 import numpy as np
 import pytest
 
-from d21alpha.algebra import GENERATOR_INDEX, build_algebra
+from d21alpha import cohomology, linalg
+from d21alpha.algebra import (
+    F1, GENERATOR_INDEX, GENERATOR_NAMES, H1, H3, PARITY, Y1, build_algebra,
+)
+from d21alpha.cli import main
 from d21alpha.cohomology import (
     ConsistencyError, DerivationMap, GradedLayout, compute_point,
-    check_f_coupling, check_lemma_h_images, full_derivation_dims, h1,
-    inner_derivation, is_outer, psi, psi_lambda, zero_weight_derivations,
-    zero_weight_inner_space,
+    check_f_coupling, check_lemma_h_images, full_derivation_dims, graded_spaces,
+    h1, psi, psi_lambda, zero_weight_inner_space,
 )
-from d21alpha.enveloping import ModuleVector, PBWMonomial, VermaModule
-from d21alpha import linalg
+from d21alpha.enveloping import J1_CODES, THETA_BITS, PBWMonomial, VermaModule
 
 P = 5
 ALPHA = 2
@@ -38,61 +40,58 @@ def m_chi(alg):
     return VermaModule(alg, (2, 3, 3), (1, 0, 0))
 
 
-def test_inner_derivation_of_highest_weight_vector(m233):
-    d = inner_derivation(m233.highest_weight_vector(), m233)
-    assert d.parity == 0
-    for i, h in enumerate(("h1", "h2", "h3")):
-        assert d.image(h) == ModuleVector(P, {0: m233.lam[i]})
-    for e in ("e1", "e2", "e3"):
-        assert d.image(e).is_zero()
-    assert d.image("f1") == ModuleVector(
-        P, {PBWMonomial((1, 0, 0), (0, 0, 0, 0)).index(P): 1}
-    )
-    assert d.defects(m233) == []
+@pytest.fixture(scope="module")
+def m0(alg):
+    return VermaModule(alg, (0, 0, 0), (0, 0, 0))
 
 
-def test_inner_derivation_rejects_mixed_parity(m233):
-    mixed = ModuleVector(P, {0: 1, PBWMonomial((0, 0, 0), (1, 0, 0, 0)).index(P): 1})
-    with pytest.raises(ValueError):
-        inner_derivation(mixed, m233)
+def test_inner_derivation_of_highest_weight_vector(m0):
+    """At lambda = 0, v has weight 0: D_v is the code-0 row of inner_vectors()."""
+    layout = GradedLayout(m0, 0)
+    row = layout.inner_vectors()[J1_CODES.index(0)]
+    assert DerivationMap(0, row).defects(m0) == []
+    # D_v(h) = lambda(h) v = 0, e and x kill v, f_k v and y_k v are basis monomials
+    expected = np.zeros(layout.ncols, dtype=np.int64)
+    for k in range(3):
+        expected[layout.col(F1 + k, 0)] = 1
+    for k in range(4):
+        expected[layout.col(Y1 + k, THETA_BITS[k])] = 1
+    assert (row == expected).all()
 
 
-def test_inner_derivation_linear(m233):
-    rng = random.Random(31)
-    even_indices = [n for n in range(m233.dim) if bin(n & 15).count("1") % 2 == 0]
-    for _ in range(5):
-        m1 = ModuleVector(P, {rng.choice(even_indices): rng.randrange(1, P)})
-        m2 = ModuleVector(P, {rng.choice(even_indices): rng.randrange(1, P)})
-        lhs = inner_derivation(m1 + m2, m233)
-        rhs = inner_derivation(m1, m233).add(inner_derivation(m2, m233))
-        for g in range(17):
-            assert lhs.images[g] == rhs.images[g]
+def test_is_outer_examples(m0):
+    """D_v reduces to 0 modulo the inner span; a non-derivation is flagged."""
+    layout = GradedLayout(m0, 0)
+    row = layout.inner_vectors()[J1_CODES.index(0)]
+    assert not zero_weight_inner_space(m0, 0).reduce(row).any()
+    bogus = np.zeros(layout.ncols, dtype=np.int64)
+    bogus[layout.col(H1, 0)] = 1
+    assert DerivationMap(0, bogus).defects(m0) != []
 
 
 def test_top_weight_zero_monomial_is_annihilated(m233):
     """At lambda=(2,3,3), chi=0 the all-y weight-0 monomial generates nothing."""
     n = m233.w_index((0, 0, 0), 15)
     assert PBWMonomial.from_index(n, P).i == (4, 4, 4)
-    d = inner_derivation(ModuleVector.basis_vector(P, n), m233)
-    assert d.is_zero()
+    assert not GradedLayout(m233, 0).inner_vectors()[J1_CODES.index(15)].any()
 
 
 def test_zero_weight_space_dimensions(m233, m_generic, m_chi):
-    kernel_even = zero_weight_derivations(m233, 0)
+    kernel_even = graded_spaces(m233, 0)[0]
     inner_even = zero_weight_inner_space(m233, 0)
     assert (kernel_even.dim, inner_even.dim) == (13, 7)
     assert kernel_even.contains_subspace(inner_even)
     assert kernel_even.dim - inner_even.dim == 6
     # generic point: inner rank is full (8 per parity) and kernel equals it
     for parity in (0, 1):
-        kernel = zero_weight_derivations(m_generic, parity)
+        kernel = graded_spaces(m_generic, parity)[0]
         inner = zero_weight_inner_space(m_generic, parity)
         assert inner.dim == 8
         assert kernel.dim == inner.dim
         assert kernel == inner
     # chi(f1) != 0 forces every 0-weight derivation to be inner
     for parity in (0, 1):
-        kernel = zero_weight_derivations(m_chi, parity)
+        kernel = graded_spaces(m_chi, parity)[0]
         inner = zero_weight_inner_space(m_chi, parity)
         assert kernel == inner
 
@@ -104,23 +103,18 @@ def test_inner_contained_in_kernel_on_grid(alg):
         chi = tuple(rng.randrange(2) for _ in range(3))
         module = VermaModule(alg, lam, chi)
         for parity in (0, 1):
-            kernel = zero_weight_derivations(module, parity)
+            kernel = graded_spaces(module, parity)[0]
             inner = zero_weight_inner_space(module, parity)
             assert kernel.contains_subspace(inner), (lam, chi, parity)
 
 
 def test_kernel_vectors_decode_to_exact_derivations(alg):
-    """Round-trip soundness of the graded system assembly."""
+    """Soundness of the graded system: every kernel vector is a derivation."""
     for lam, chi in (((2, 3, 3), (0, 0, 0)), ((1, 4, 0), (1, 1, 0))):
         module = VermaModule(alg, lam, chi)
         for parity in (0, 1):
-            layout = GradedLayout(module, parity)
-            kernel = zero_weight_derivations(module, parity)
-            for row in kernel.basis:
-                phi = layout.decode(row)
-                assert phi.defects(module) == []
-                assert phi.is_zero_weight(module)
-                assert (layout.encode(phi.images) == row).all()
+            for row in graded_spaces(module, parity)[0].basis:
+                assert DerivationMap(parity, row).defects(module) == []
 
 
 def test_h1_reference_points(alg):
@@ -141,30 +135,11 @@ def test_h1_representatives_are_verified_outer_classes(m233):
     result = h1(m233)
     assert result.sdim == (6, 0)
     assert len(result.representatives) == 6
+    inner = zero_weight_inner_space(m233, 0)
     for rep in result.representatives:
         assert rep.parity == 0
         assert rep.defects(m233) == []
-        assert is_outer(rep, m233)
-
-
-def test_is_outer_examples(m233):
-    assert not is_outer(inner_derivation(m233.highest_weight_vector(), m233), m233)
-    bogus = DerivationMap(0, {g: ModuleVector(P, {0: 1}) for g in range(17)})
-    with pytest.raises(ValueError):
-        is_outer(bogus, m233)
-
-
-def test_is_outer_general_path_for_non_zero_weight_maps(m233):
-    # D_m for m = f1 (x) v has weight lambda - 2eps1 != 0: the ungraded route
-    f1v = ModuleVector(P, {PBWMonomial((1, 0, 0), (0, 0, 0, 0)).index(P): 1})
-    shifted_inner = inner_derivation(f1v, m233)
-    assert not shifted_inner.is_zero_weight(m233)
-    assert not is_outer(shifted_inner, m233)
-    # adding an inner shift to an outer class keeps it outer
-    rep = h1(m233).representatives[0]
-    mixed = rep.add(shifted_inner)
-    assert not mixed.is_zero_weight(m233)
-    assert is_outer(mixed, m233)
+        assert inner.reduce(rep.coords).any()
 
 
 def test_h1_invariant_under_equation_row_permutation(m233):
@@ -217,28 +192,27 @@ def test_full_oracle_refuses_large_p():
 def test_psi2_zero_extends_to_outer_derivation(alg):
     module = VermaModule(alg, psi_lambda(2, P), (0, 0, 0))
     built = psi(2, (1,), module)
-    assert built.completion == "zero_extension"
     assert built.map.parity == 0
     assert built.map.defects(module) == []
-    assert is_outer(built.map, module)
+    assert zero_weight_inner_space(module, 0).reduce(built.map.coords).any()
 
 
 def test_psi4_is_odd_and_outer(alg):
     module = VermaModule(alg, psi_lambda(4, P), (0, 0, 0))
     built = psi(4, (1,), module)
     assert built.map.parity == 1
-    assert is_outer(built.map, module)
+    assert built.map.defects(module) == []
+    assert zero_weight_inner_space(module, 1).reduce(built.map.coords).any()
 
 
 def test_psi1_is_linear_in_parameters(alg):
     module = VermaModule(alg, psi_lambda(1, P), (0, 0, 0))
     zero = psi(1, (0, 0, 0, 0, 0), module)
-    assert zero.map.is_zero()
+    assert not zero.map.coords.any()
     a = psi(1, (1, 0, 0, 0, 0), module).map
     b = psi(1, (0, 2, 0, 0, 0), module).map
     joint = psi(1, (1, 2, 0, 0, 0), module).map
-    for g in range(17):
-        assert joint.images[g] == a.images[g] + b.images[g]
+    assert (joint.coords == (a.coords + b.coords) % P).all()
 
 
 def test_psi_rejects_wrong_regime(alg):
@@ -263,13 +237,11 @@ def test_lemma_h_images_clean(alg):
 def test_lemma_h_images_support_is_real_at_special_point(m233):
     """The allowance is not vacuous: some basis derivation hits w_0^{1111}."""
     layout = GradedLayout(m233, 0)
-    kernel = zero_weight_derivations(m233, 0)
-    target = m233.w_index((0, 0, 0), 15)
+    kernel = graded_spaces(m233, 0)[0]
     hits = 0
     for row in kernel.basis:
-        phi = layout.decode(row)
-        for h in ("h1", "h2", "h3"):
-            hits += int(bool(phi.image(h).get(target)))
+        for h in range(H1, H3 + 1):
+            hits += int(bool(row[layout.col(h, 15)]))
     assert hits > 0
 
 
@@ -287,9 +259,65 @@ def test_compute_point_summary_is_picklable():
     assert pickle.loads(pickle.dumps(s)) == s
 
 
-def test_layout_encode_rejects_off_block_support(m233):
-    layout = GradedLayout(m233, 0)
-    images = {g: ModuleVector(P) for g in range(17)}
-    images[GENERATOR_INDEX["h1"]] = ModuleVector(P, {1: 1})  # wrong weight space
-    with pytest.raises(ValueError):
-        layout.encode(images)
+def _defects_by_pairs(phi, module):
+    """Per-pair oracle of DerivationMap.defects on full 16p^3 module vectors."""
+    p, alg = module.p, module.algebra
+    layout = GradedLayout(module, phi.parity)
+    images = np.zeros((17, module.dim), dtype=np.int64)
+    for b in range(17):
+        for code in layout.thetas[b]:
+            n = module.w_index(alg.weights[b], code)
+            images[b, n] = phi.coords[layout.col(b, code)]
+    mats = module.matrices()
+    bad = []
+    for a in range(17):
+        for b in range(17):
+            lhs = sum(c * images[g] for g, c in alg.bracket_items[a][b])
+            s1 = -1 if phi.parity and PARITY[a] else 1
+            s2 = -1 if PARITY[b] and (phi.parity + PARITY[a]) % 2 else 1
+            rhs = s1 * (mats[a] @ images[b]) - s2 * (mats[b] @ images[a])
+            if ((lhs - rhs) % p).any():
+                bad.append((GENERATOR_NAMES[a], GENERATOR_NAMES[b]))
+    return bad
+
+
+@pytest.mark.parametrize(
+    "p,alpha,lam,chi", [(5, 2, (2, 3, 3), (0, 0, 0)), (7, 3, (1, 2, 0), (2, 0, 5))]
+)
+def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
+    module = VermaModule(build_algebra(p, alpha), lam, chi)
+    rng = np.random.default_rng(p)
+    found = 0
+    for parity in (0, 1):
+        kernel = graded_spaces(module, parity)[0]
+        for row in kernel.basis:
+            assert DerivationMap(parity, row).defects(module) == []
+            assert _defects_by_pairs(DerivationMap(parity, row), module) == []
+        vectors = [rng.integers(0, p, 136) for _ in range(4)]
+        for row in kernel.basis[:4]:
+            bumped = row.copy()
+            bumped[rng.integers(136)] += 1
+            vectors.append(bumped % p)
+        for vec in vectors:
+            phi = DerivationMap(parity, vec)
+            expected = _defects_by_pairs(phi, module)
+            assert phi.defects(module) == expected
+            found += len(expected)
+    assert found  # the perturbed maps do fail the identity somewhere
+
+
+def test_psi_zero_extension_failure_names_a_pair(alg, monkeypatch, capsys):
+    original = cohomology._psi_theta_images
+
+    def dropped(which, params, module):
+        img, notes = original(which, params, module)
+        img.pop(min(img))  # lose the image of one listed generator
+        return img, notes
+
+    monkeypatch.setattr(cohomology, "_psi_theta_images", dropped)
+    module = VermaModule(alg, psi_lambda(2, P), (0, 0, 0))
+    with pytest.raises(ConsistencyError, match=r"at pair \(\w+, \w+\)"):
+        psi(2, (1,), module)
+    code = main(["verify-psi", "--which", "2", "--p", "5", "--alpha", "2"])
+    assert code == 2
+    assert "zero extension fails the derivation identity" in capsys.readouterr().err

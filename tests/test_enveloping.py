@@ -9,7 +9,7 @@ from d21alpha.algebra import (
     generator_weight, representation_defects,
 )
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, ConsistencyError, ModuleVector, PBWMonomial, VermaModule,
+    J1_CODES, J3_CODES, ConsistencyError, PBWMonomial, VermaModule,
     decode, encode, monomial_parity, monomial_weight, theta_code, theta_tuple,
     verify_module_axioms,
 )
@@ -48,8 +48,7 @@ def test_monomial_index_bijection():
                     assert PBWMonomial.from_index(n, P) == m
                     # the y's are the only odd letters of the monomial
                     odd_letters = sum(PARITY[Y1 + k] * jk for k, jk in enumerate(j))
-                    assert m.parity == odd_letters % 2
-                    assert m.parity == monomial_parity(n)
+                    assert monomial_parity(n) == odd_letters % 2
                     seen.add(n)
     assert len(seen) == 16 * P**3
     assert (J1_CODES, J3_CODES) == (
@@ -112,41 +111,41 @@ def test_codec_round_trip_and_weight(p, exps, code, lam):
 
 def test_normal_form_single_f(module):
     got = module.normal_form(["f1"])
-    assert got == ModuleVector(P, {PBWMonomial((1, 0, 0), (0, 0, 0, 0)).index(P): 1})
+    assert got == {PBWMonomial((1, 0, 0), (0, 0, 0, 0)).index(P): 1}
 
 
 def test_normal_form_e_then_f_gives_lambda(module):
     # e1 f1 v = f1 e1 v + h1 v = lambda_1 v
-    assert module.normal_form(["e1", "f1"]) == ModuleVector(P, {0: LAM[0] % P})
+    assert module.normal_form(["e1", "f1"]) == {0: LAM[0] % P}
 
 
 def test_normal_form_f_power_reduces_to_chi(module, module_chi):
     word = ["f1"] * P
-    assert module.normal_form(word).is_zero()
-    assert module_chi.normal_form(word) == ModuleVector(P, {0: 1})
+    assert module.normal_form(word) == {}
+    assert module_chi.normal_form(word) == {0: 1}
     # twice around: chi^2
-    assert module_chi.normal_form(["f1"] * (2 * P)) == ModuleVector(P, {0: 1})
+    assert module_chi.normal_form(["f1"] * (2 * P)) == {0: 1}
 
 
 def test_normal_form_odd_square_vanishes(module):
-    assert module.normal_form(["y1", "y1"]).is_zero()
-    assert module.normal_form(["f2", "y3", "y3"]).is_zero()
+    assert module.normal_form(["y1", "y1"]) == {}
+    assert module.normal_form(["f2", "y3", "y3"]) == {}
 
 
 def test_normal_form_scalar_and_names(module):
     a = module.normal_form(["f2"], scalar=3)
-    b = module.normal_form([GENERATOR_INDEX["f2"]]).scale(3)
-    assert a == b
+    b = module.normal_form([GENERATOR_INDEX["f2"]])
+    assert a == {n: 3 * c % P for n, c in b.items()}
 
 
 def test_normal_form_annihilates_with_positive_tail(module):
-    assert module.normal_form(["e2"]).is_zero()
-    assert module.normal_form(["x3"]).is_zero()
+    assert module.normal_form(["e2"]) == {}
+    assert module.normal_form(["x3"]) == {}
     # x2 f1 v = f1 x2 v - [f1,x2] v = -y2 v: the crossing matters
     y2v = PBWMonomial((0, 0, 0), (0, 1, 0, 0)).index(P)
-    assert module.normal_form(["x2", "f1"]) == ModuleVector(P, {y2v: P - 1})
+    assert module.normal_form(["x2", "f1"]) == {y2v: P - 1}
     # h absorbs the weight
-    assert module.normal_form(["h2"]) == ModuleVector(P, {0: LAM[1] % P})
+    assert module.normal_form(["h2"]) == {0: LAM[1] % P}
 
 
 def test_confluence_randomized_rewrites(module):
@@ -173,32 +172,26 @@ def test_cartan_action_is_diagonal_with_weight_entries(module):
         assert not col.any()
 
 
+def _column(module, g, n):
+    """Column n of the action matrix of g, as {index: nonzero coefficient}."""
+    col = module.action_matrix(g)[:, n].tocoo()
+    return {int(r): int(v) % P for r, v in zip(col.row, col.data) if v % P}
+
+
 def test_f_action_wraps_with_chi(module, module_chi):
     top = PBWMonomial((P - 1, 0, 0), (0, 0, 0, 0)).index(P)
-    assert module.act("f1", ModuleVector.basis_vector(P, top)).is_zero()
-    got = module_chi.act("f1", ModuleVector.basis_vector(P, top))
-    assert got == ModuleVector(P, {0: 1})  # chi(f1)^p = 1
+    assert _column(module, "f1", top) == {}
+    assert _column(module_chi, "f1", top) == {0: 1}  # chi(f1)^p = 1
 
 
 def test_act_examples(module):
-    v = module.highest_weight_vector()
-    assert module.act("e2", v).is_zero()
-    y1v = module.normal_form(["y1"])
-    got = module.act("h2", y1v)
-    assert got == y1v.scale((LAM[1] + 1) % P)
-    y4v = module.normal_form(["y4"])
-    got = module.act("x1", y4v)
+    assert _column(module, "e2", 0) == {}  # e2 kills v
+    y1v = PBWMonomial((0, 0, 0), (1, 0, 0, 0)).index(P)
+    assert _column(module, "h2", y1v) == {y1v: (LAM[1] + 1) % P}
+    y4v = PBWMonomial((0, 0, 0), (0, 0, 0, 1)).index(P)
     # x1 y4 v = -y4 x1 v + [x1,y4] v = (-(1+a)l1 + l2 + a*l3) v
     expected = (-(1 + ALPHA) * LAM[0] + LAM[1] + ALPHA * LAM[2]) % P
-    assert got == ModuleVector(P, {0: expected})
-
-
-def test_act_linear(module):
-    rng = random.Random(5)
-    for g in ("f2", "y3", "e1", "x2"):
-        u = ModuleVector(P, {rng.randrange(2000): rng.randrange(1, P) for _ in range(4)})
-        w = ModuleVector(P, {rng.randrange(2000): rng.randrange(1, P) for _ in range(4)})
-        assert module.act(g, u + w) == module.act(g, u) + module.act(g, w)
+    assert _column(module, "x1", y4v) == {0: expected}
 
 
 @pytest.mark.parametrize("fixture", ["module", "module_chi"])
@@ -211,7 +204,6 @@ def test_columns_agree_with_direct_straightening(fixture, request):
         mat = module.action_matrix(g).tocsc()
         for n in sample:
             direct = module._normal_form_raw([g] + list(module.monomial_word(n)))
-            assert module.act(g, ModuleVector.basis_vector(P, n)).coeffs == direct
             col = mat[:, n].tocoo()
             assert {int(r): int(v) for r, v in zip(col.row, col.data)} == direct
 
@@ -282,12 +274,10 @@ def test_every_weight_space_has_dimension_16(module):
 
 def test_target_weight_basis_examples(module):
     basis = module.weight_basis((0, 0, 0))
-    assert basis.is_target
     assert [code for code, _ in basis.entries] == list(range(16))
     assert dict(basis.entries)[15].i == (4, 4, 4)  # all f-exponents at p-1
     top = module.weight_basis(LAM)
     assert dict(top.entries)[0].i == (0, 0, 0)  # the highest weight vector
-    assert not module.weight_basis((1, 0, 0)).is_target
 
 
 def test_target_weight_basis_monomials_have_claimed_weight(module):

@@ -106,8 +106,10 @@ def test_sparse_matrix_canonicalization():
     p = 5
     m = SparseMatrix(3, 3, [(0, 0, 3), (0, 0, 2), (1, 1, 5), (2, 2, 1)], p)
     # duplicates coalesce (3+2=0 mod 5) and explicit zeros vanish
-    assert m.entries == [(2, 2, 1)]
-    assert m.to_dense()[2, 2] == 1
+    expected = np.zeros((3, 3), dtype=np.int64)
+    expected[2, 2] = 1
+    assert (m.to_dense() == expected).all()
+    assert m.csr.nnz == 1
 
 
 def _random_block_sparse(rng, p, blocks, rows_per, cols_per):
