@@ -23,7 +23,11 @@ from .cohomology import (
 from .enveloping import PBWMonomial, VermaModule, verify_module_axioms
 from .field import is_prime
 
-MAX_P = 31
+# A graded point (h1, verify-psi, a one-point scan) costs about the same at
+# every p; work over the whole module (check's module axioms, verma, a scan
+# grid) grows as p^3 and keeps the lower cap.
+MAX_P = 101
+MAX_P_MODULE = 31
 MAX_P_FULL = 7
 
 # customary 2p-offset aliases for the nonzero locus of the superdimension table
@@ -57,10 +61,10 @@ def _parse_triple(text: str, p: int, label: str) -> tuple[int, int, int]:
     return vals
 
 
-def _validate_p(p: int, method: str = "graded") -> None:
+def _validate_p(p: int, method: str = "graded", cap: int = MAX_P) -> None:
     # the range first: is_prime is trial division, slow for a huge p
-    if not 3 < p <= MAX_P or not is_prime(p):
-        raise CliError(f"p must be a prime with 3 < p <= {MAX_P}, got {p}")
+    if not 3 < p <= cap or not is_prime(p):
+        raise CliError(f"p must be a prime with 3 < p <= {cap}, got {p}")
     if method in ("full", "both") and p > MAX_P_FULL:
         raise CliError(f"the full (ungraded) method is capped at p <= {MAX_P_FULL}")
 
@@ -111,10 +115,26 @@ def _jobs(args) -> int:
     return min(requested, cpus)
 
 
+def _check_output(output: str | None) -> None:
+    """Refuse an --output path that cannot be written, before any work."""
+    if output is None:
+        return
+    folder = os.path.dirname(os.path.abspath(output))
+    if (
+        os.path.isdir(output)
+        or not os.path.isdir(folder)
+        or not os.access(output if os.path.exists(output) else folder, os.W_OK)
+    ):
+        raise CliError(f"cannot write --output {output}")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --output {output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -123,14 +143,19 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def cmd_check(args) -> int:
-    _validate_p(args.p)
+    _validate_p(args.p, cap=MAX_P_MODULE)
     alpha = _single_alpha(args.alpha, args.p)
     lam = _parse_triple(args.lam, args.p, "lambda")
     chi = _parse_triple(args.chi_f, args.p, "chi-f")
     algebra = build_algebra(args.p, alpha)
     if args.dump_brackets:
-        with open(args.dump_brackets, "w", encoding="utf-8") as fh:
-            json.dump(algebra.bracket_table_json(), fh, indent=1)
+        try:
+            with open(args.dump_brackets, "w", encoding="utf-8") as fh:
+                json.dump(algebra.bracket_table_json(), fh, indent=1)
+        except OSError as exc:
+            raise CliError(
+                f"cannot write --dump-brackets {args.dump_brackets}: {exc}"
+            ) from None
         print(f"bracket tensor written to {args.dump_brackets}", file=sys.stderr)
     violations = algebra.check_axioms()
     for v in violations:
@@ -148,7 +173,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_verma(args) -> int:
-    _validate_p(args.p)
+    _validate_p(args.p, cap=MAX_P_MODULE)
     lam = _parse_triple(args.lam, args.p, "lambda")
     chi = _parse_triple(args.chi_f, args.p, "chi-f")
     module = VermaModule(build_algebra(args.p, _single_alpha(args.alpha, args.p)), lam, chi)
@@ -213,7 +238,8 @@ def _point_task(task):
 
 
 def cmd_scan(args) -> int:
-    _validate_p(args.p)
+    grid = "all" in (args.alpha, args.lam)
+    _validate_p(args.p, cap=MAX_P_MODULE if grid else MAX_P)
     p = args.p
     chi = _parse_triple(args.chi_f, p, "chi-f")
     alphas = _alphas(args.alpha, p)
@@ -382,6 +408,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output(args.output)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,6 +17,15 @@ confluent rewriting system: adjacent out-of-order pairs a*b are replaced by
 the scalar chi(f_i)^p, and at the right boundary e_i and x_i kill v while h_i
 contributes lambda_i.
 
+An action column g * f1^i1 f2^i2 f3^i3 y^theta v does not move g past the
+f-segment one letter at a time.  Since f_k is even, x f_k = f_k x + [x, f_k],
+so x f_k^i = sum_j C(i, j) f_k^(i-j) D^j(x) with D = [-, f_k] (Humphreys,
+"Introduction to Lie Algebras", 7.2).  ad f_k is nilpotent on D(2,1;alpha)
+(ad f_k^3 = 0), so the sum has at most three terms, whatever i and p are.
+Each term's algebra element crosses the next level the same way; the y-tail
+of at most five letters is left to the rewriting system.  A column thus costs
+the same at every p.
+
 Every weight space holds exactly one monomial per theta code, so a generator
 acts as one 16x16 block per weight (``VermaModule.block``); every consumer of
 the action reads these blocks.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -156,6 +166,8 @@ class VermaModule:
         self.dim = 16 * p**3
         self.inv2 = pow(2, p - 2, p)
         self._blocks: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
+        # (generator, level, remaining f-exponents, theta code) -> coordinates
+        self._crossings: dict[tuple, dict[int, int]] = {}
         self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict[int, sp.csr_matrix] = {}
 
@@ -342,7 +354,57 @@ class VermaModule:
 
     def column(self, g: int, n: int) -> dict[int, int]:
         """Coordinates of g * (basis monomial n), by straightening."""
-        return self._normal_form_raw([g, *self.monomial_word(n)])
+        i1, i2, i3, code = decode(n, self.p)
+        return self._cross(g, 0, (i1, i2, i3), code)
+
+    def _cross(self, g: int, k: int, exps, code: int) -> dict[int, int]:
+        """Coordinates of g * f_{k+1}^exps[0] ... f_3^exps[-1] y^code v.
+
+        Crosses f = f_{k+1} to the power i = exps[0] in one step,
+        g f^i = sum_j C(i, j) f^(i-j) D^j(g) with D(x) = [x, f], and recurses
+        on each generator of D^j(g).  Multiplying by f^(i-j) on the left only
+        raises the k-th exponent (the f's commute), wrapping f^p to chi(f).
+        The inner levels are cached per module; the top level (k = 0) is one
+        key per column and is not.
+        """
+        if k:
+            key = (g, k, exps, code)
+            out = self._crossings.get(key)
+            if out is not None:
+                return out
+        if not exps:  # only the y-tail is left: at most five letters
+            out = self._crossings[key] = self._normal_form_raw([g, *Y_WORDS[code]])
+            return out
+        p, chi_k, f = self.p, self.chi[k], F1 + k
+        brackets = self.algebra.bracket_items
+        i, rest = exps[0], exps[1:]
+        stride = 16 * p ** len(rest)  # index step of the k-th exponent
+        acc: dict[int, int] = {}
+        term = {g: 1}  # D^j(g) as {generator: coefficient}
+        for j in range(i + 1):
+            shift = i - j
+            scale = comb(i, j) % p
+            for h, c in term.items():
+                c = c * scale % p
+                for n, v in self._cross(h, k + 1, rest, code).items():
+                    v = v * c
+                    # an exponent below p plus a shift below p wraps at most once
+                    if n // stride % p + shift >= p:
+                        v *= chi_k
+                        n -= p * stride
+                    n += shift * stride
+                    acc[n] = (acc.get(n, 0) + v) % p
+            nxt: dict[int, int] = {}
+            for h, c in term.items():
+                for h2, co in brackets[h][f]:
+                    nxt[h2] = (nxt.get(h2, 0) + c * co) % p
+            term = {h: c for h, c in nxt.items() if c}
+            if not term:  # ad f is nilpotent: at most three terms
+                break
+        out = {n: v for n, v in acc.items() if v}
+        if k:
+            self._crossings[key] = out
+        return out
 
     def _shifted(self, beta, g: int) -> tuple[int, int, int]:
         """The weight beta + wt(g), as canonical residues."""

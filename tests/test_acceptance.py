@@ -149,6 +149,27 @@ def test_criterion_4_superdimension_table_p7(scan_p7):
           "(nonzero at (2,5,5),(2,5,0),(2,0,5),(3,4,4))")
 
 
+def test_criterion_4_superdimension_table_past_p31():
+    """The table's special residues, two generic lambda and one chi != 0 point.
+
+    At p in {37, 53, 101} with alpha in {2, p-2}, past the range the scan
+    grids cover.
+    """
+    t0 = time.time()
+    tasks = []
+    for p in (37, 53, 101):
+        lambdas = [*_expected_nonzero(p), (0, 0, 0), (1, p - 1, 5)]
+        for alpha in (2, p - 2):
+            tasks += [(p, alpha, lam, (0, 0, 0)) for lam in lambdas]
+            tasks.append((p, alpha, (2, p - 2, p - 2), (1, 2, 3)))
+    for p, alpha, lam, chi in tasks:
+        s = compute_point(p, alpha, lam, chi)
+        want = _expected_nonzero(p).get(lam, (0, 0)) if chi == (0, 0, 0) else (0, 0)
+        assert (s.dim_even, s.dim_odd) == want, (p, alpha, lam, chi)
+    print(f"CRITERION 4c PASS: {len(tasks)} points at p in {{37,53,101}} match "
+          f"the table in {time.time()-t0:.0f} s")
+
+
 def test_criterion_5_nonzero_chi_kills_h1():
     """H^1 = 0 for chi = e1, e2, e3, (1,1,1) at every lambda (p=5, alpha=2)."""
     chis = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
@@ -205,6 +226,17 @@ def test_criterion_7_psi_families(tmp_path, capsys):
     print("CRITERION 7 PASS: psi1 (5 parameter directions), psi2, psi3, psi4 "
           "verified; parameter-count finding emitted:")
     print(f"  {payload['finding']}")
+
+
+def test_criterion_7_psi_families_p101(capsys):
+    """The four outer families also verify at p=101."""
+    for which in (1, 2, 3, 4):
+        code = main(["verify-psi", "--which", str(which), "--p", "101",
+                     "--alpha", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0, f"psi{which} failed verification at p=101"
+        assert all(d["outer"] and d["in_h1_span"] for d in payload["directions"])
+    print("CRITERION 7b PASS: psi1..psi4 verified at p=101, alpha=2")
 
 
 def test_criterion_8_lemma_regressions(scan_p5, scan_p7):

@@ -40,7 +40,29 @@ def test_huge_p_is_rejected_by_range_before_primality(capsys):
     # 2^61 - 1 is prime; trial division up to its square root would not finish
     code, _, err = run(capsys, "h1", "--p", str(2**61 - 1))
     assert code == 1
-    assert "p must be a prime with 3 < p <= 31" in err
+    assert "p must be a prime with 3 < p <= 101" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--alpha", "2"),
+    ("check", "--alpha", "2", "--algebra-only"),
+    ("verma", "--alpha", "2"),
+    ("scan", "--alpha", "2"),
+    ("scan", "--alpha", "all", "--lambda", "1,2,3"),
+])
+def test_whole_module_commands_keep_the_lower_p_cap(capsys, argv):
+    # these grow as p^3 (every weight block, every basis monomial, every lambda)
+    code, out, err = run(capsys, *argv, "--p", "37")
+    assert code == 1
+    assert out == ""
+    assert "p must be a prime with 3 < p <= 31, got 37" in err
+
+
+def test_one_point_scan_takes_the_point_cap(capsys):
+    code, out, _ = run(capsys, "scan", "--p", "37", "--alpha", "2",
+                       "--lambda", "1,2,3", "--jobs", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "37,2,1,2,3,0,0,0,0,0"
 
 
 def test_check_dump_brackets(tmp_path, capsys):
@@ -62,6 +84,51 @@ def test_check_refuses_bad_input_before_writing(tmp_path, capsys, flag, value):
     assert not path.exists()
     assert out == ""
     assert "bracket tensor written" not in err
+
+
+@pytest.mark.parametrize("where", ["missing_dir/x.json", "."])
+def test_unwritable_output_is_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, where
+):
+    def no_work(module):
+        raise AssertionError("h1 ran before --output was checked")
+
+    monkeypatch.setattr(cli, "h1", no_work)
+    code, out, err = run(capsys, "h1", "--p", "5", "--alpha", "2",
+                         "--lambda", "2,3,3", "--output", str(tmp_path / where))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write --output")
+    assert "Traceback" not in err
+
+
+def test_os_error_is_a_parameter_error(tmp_path, capsys):
+    code, _, err = run(capsys, "check", "--p", "5", "--alpha", "2", "--algebra-only",
+                       "--dump-brackets", str(tmp_path / "missing_dir" / "b.json"))
+    assert code == 1
+    assert err.startswith("error: cannot write --dump-brackets")
+    assert "Traceback" not in err
+
+
+def test_a_failed_output_write_is_a_parameter_error(tmp_path, monkeypatch, capsys):
+    # a write that fails after the up-front check (the folder vanished meanwhile)
+    monkeypatch.setattr(cli, "_check_output", lambda output: None)
+    code, out, err = run(capsys, "verma", "--p", "5", "--alpha", "2",
+                         "--output", str(tmp_path / "missing_dir" / "v.json"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write --output")
+
+
+def test_other_os_errors_are_not_parameter_errors(monkeypatch, capsys):
+    def no_fork(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_fork)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    with pytest.raises(BlockingIOError):
+        main(["scan", "--p", "5", "--alpha", "all", "--lambda", "2,3,3",
+              "--jobs", "2"])
 
 
 def test_h1_single_point_json(capsys):

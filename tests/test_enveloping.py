@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -206,6 +207,48 @@ def test_columns_agree_with_direct_straightening(fixture, request):
             direct = module._normal_form_raw([g] + list(module.monomial_word(n)))
             col = mat[:, n].tocoo()
             assert {int(r): int(v) for r, v in zip(col.row, col.data)} == direct
+
+
+@pytest.mark.parametrize("p,chi,codes", [
+    (5, (0, 0, 0), range(16)),
+    (5, (1, 2, 3), range(16)),
+    (31, (1, 2, 3), (0, 1, 6, 9, 14, 15)),
+])
+def test_crossing_edge_cases_match_direct_straightening(p, chi, codes):
+    """Exponents 0 and p-1, where f^(i-j) wraps to chi, for every generator.
+
+    Codes 6 and 9 hold y2 y3 and y1 y4, whose brackets put an f1 back into
+    the f-segment.  At p=31 the all-(p-1) monomial is left out: the direct
+    straightening takes seconds there.
+    """
+    module = VermaModule(build_algebra(p, 2), (1, 2, 3), chi)
+    for exps in itertools.product((0, 1, p - 1), repeat=3):
+        if p > 5 and exps == (p - 1,) * 3:
+            continue
+        for code in codes:
+            n = encode(*exps, code, p)
+            word = list(module.monomial_word(n))
+            for g in range(17):
+                assert module.column(g, n) == module._normal_form_raw([g] + word), (
+                    g, exps, code
+                )
+
+
+def test_blocks_do_not_depend_on_request_order():
+    """The crossing cache holds no state of the column that filled it."""
+    alg = build_algebra(7, 3)
+    first, second = (VermaModule(alg, (1, 5, 2), (2, 0, 5)) for _ in range(2))
+    rng = random.Random(5)
+    requests = [
+        (g, tuple(rng.randrange(7) for _ in range(3)))
+        for g in range(17)
+        for _ in range(6)
+    ]
+    got = {key: first.block(*key) for key in requests}
+    shuffled = requests[:]
+    rng.shuffle(shuffled)
+    for key in shuffled:
+        assert (second.block(*key) == got[key]).all(), key
 
 
 def test_block_rejects_action_leaving_its_weight_space(alg):
