@@ -1,9 +1,7 @@
 """Exact F_p computations for D(2,1;alpha) and its baby Verma cohomology."""
 
 from .algebra import SuperAlgebra, build_algebra
-from .cohomology import (
-    DerivationMap, H1Result, full_derivation_dims, h1, psi, zero_weight_inner_space,
-)
+from .cohomology import DerivationMap, H1Result, full_derivation_dims, h1, psi
 from .enveloping import PBWMonomial, VermaModule
 
 __all__ = [
@@ -16,5 +14,4 @@ __all__ = [
     "full_derivation_dims",
     "h1",
     "psi",
-    "zero_weight_inner_space",
 ]

@@ -17,8 +17,8 @@ import numpy as np
 from . import linalg
 from .algebra import build_algebra
 from .cohomology import (
-    ConsistencyError, PSI_REGIMES, compute_point, full_derivation_dims, h1, psi,
-    psi_lambda, zero_weight_inner_space,
+    ConsistencyError, PSI_REGIMES, compute_point, full_derivation_dims,
+    graded_spaces, h1, psi, psi_lambda,
 )
 from .enveloping import PBWMonomial, VermaModule, verify_module_axioms
 from .field import is_prime
@@ -121,7 +121,8 @@ def _check_output(output: str | None) -> None:
         return
     folder = os.path.dirname(os.path.abspath(output))
     if (
-        os.path.isdir(output)
+        not output
+        or os.path.isdir(output)
         or not os.path.isdir(folder)
         or not os.access(output if os.path.exists(output) else folder, os.W_OK)
     ):
@@ -129,7 +130,7 @@ def _check_output(output: str | None) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -290,37 +291,30 @@ def cmd_verify_psi(args) -> int:
     module = VermaModule(build_algebra(p, alpha), lam, (0, 0, 0))
     result = h1(module)
     _, parity, names = PSI_REGIMES[which]
-    inner = zero_weight_inner_space(module, parity)
-    span_vectors = list(inner.basis)
-    for rep in result.representatives:
-        if rep.parity == parity:
-            span_vectors.append(rep.coords)
-    span = linalg.Subspace.from_vectors(span_vectors, inner.ambient_dim, module.p)
-    directions = []
-    reduced_classes = []
-    notes: tuple[str, ...] = ()
-    ok = True
-    for k, name in enumerate(names):
-        params = [0] * len(names)
-        params[k] = 1
-        built = psi(which, params, module)
-        notes = built.notes
-        reduced = inner.reduce(built.map.coords)
-        outer = bool(reduced.any())
-        in_span = span.contains(built.map.coords)
-        reduced_classes.append(reduced)
-        directions.append(
-            {
-                "param": name,
-                # psi extends its listed images by zero or raises
-                "completion": "zero_extension",
-                "derivation": True,
-                "outer": outer,
-                "in_h1_span": in_span,
-            }
-        )
-        ok = ok and outer and in_span
-    class_rank = linalg.rank(np.array(reduced_classes, dtype=np.int64), module.p)
+    inner = graded_spaces(module, parity)[1]
+    reps = [rep.coords for rep in result.representatives if rep.parity == parity]
+    span = linalg.rref(np.vstack([inner, *reps]), p)[0]
+    # one psi per parameter direction: the k-th parameter 1, the others 0
+    built = [psi(which, [int(i == k) for i in range(len(names))], module)
+             for k in range(len(names))]
+    coords = np.array([b.map.coords for b in built])
+    reduced = linalg.reduce(inner, coords, p)
+    outer = reduced.any(axis=1)
+    in_span = ~linalg.reduce(span, coords, p).any(axis=1)
+    directions = [
+        {
+            "param": name,
+            # psi extends its listed images by zero or raises
+            "completion": "zero_extension",
+            "derivation": True,
+            "outer": bool(outer[k]),
+            "in_h1_span": bool(in_span[k]),
+        }
+        for k, name in enumerate(names)
+    ]
+    ok = bool((outer & in_span).all())
+    notes = built[-1].notes
+    class_rank = linalg.rank(reduced, p)
     payload = {
         "psi": which,
         "p": p,
@@ -353,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="d21alpha", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, lam_default=None):
+    def common(sp, lam_default=None, output=True):
         sp.add_argument("--p", type=int, required=True, help="prime modulus > 3")
         sp.add_argument("--alpha", default="1",
                         help="algebra parameter; residue or 'all' (scan only)")
@@ -362,10 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="highest weight, e.g. 2,3,3 (or 'all' for scan)")
         sp.add_argument("--chi-f", dest="chi_f", default="0,0,0",
                         help="character values chi(f1),chi(f2),chi(f3)")
-        sp.add_argument("--output", default=None, help="write data here, not stdout")
+        if output:
+            sp.add_argument("--output", default=None,
+                            help="write data here, not stdout")
 
     sp = sub.add_parser("check", help="algebra and module axiom sweep")
-    common(sp, lam_default="1,1,1")
+    common(sp, lam_default="1,1,1", output=False)
     sp.add_argument("--algebra-only", action="store_true",
                     help="skip the module-axiom stage")
     sp.add_argument("--dump-brackets", default=None,
@@ -408,7 +404,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_output(args.output)
+        # check writes no data, so it has no --output
+        _check_output(getattr(args, "output", None))
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import linalg
 from .algebra import (
@@ -31,17 +32,9 @@ from .enveloping import (
     J1_CODES, J3_CODES, ConsistencyError, VermaModule, decode, monomial_parity,
 )
 
-EVEN_THETAS = J1_CODES
-ODD_THETAS = J3_CODES
-_THETA_POS = (
-    {c: i for i, c in enumerate(J1_CODES)},
-    {c: i for i, c in enumerate(J3_CODES)},
-)
-
-
-def _thetas_for(gen_parity: int, phi_parity: int):
-    """y-exponent patterns available to phi(b): image parity is |b|+|phi|."""
-    return EVEN_THETAS if (gen_parity + phi_parity) % 2 == 0 else ODD_THETAS
+# the theta codes of each monomial parity, and each code's slot among them
+_CODES = (J1_CODES, J3_CODES)
+_THETA_POS = tuple({c: i for i, c in enumerate(codes)} for codes in _CODES)
 
 
 @dataclass
@@ -49,8 +42,8 @@ class DerivationMap:
     """A parity-homogeneous 0-weight map g -> M as its 136 graded coordinates.
 
     phi(b) lies in the weight-beta_b space, and coords[b*8 + i] is its
-    coefficient on the monomial with theta code _thetas_for(|b|, parity)[i]
-    there: the column order of GradedLayout.
+    coefficient on the monomial with theta code
+    GradedLayout(module, parity).thetas[b][i] there: its column order.
     """
 
     parity: int
@@ -66,7 +59,7 @@ class DerivationMap:
         side reads module.block(a, beta_b), only where phi(b) is nonzero.
         """
         p, alg, par = module.p, module.algebra, np.array(PARITY)
-        thetas = np.array([_thetas_for(PARITY[b], self.parity) for b in range(17)])
+        thetas = np.array(GradedLayout(module, self.parity).thetas)
         Phi = np.zeros((17, 16), dtype=np.int64)
         Phi[np.arange(17)[:, None], thetas] = np.reshape(self.coords, (17, 8))
         C = np.array([alg.ad_matrix(a) for a in range(17)])  # C[a, g, b]
@@ -101,7 +94,8 @@ class GradedLayout:
     def __init__(self, module: VermaModule, parity: int):
         self.module = module
         self.parity = parity
-        self.thetas = tuple(_thetas_for(PARITY[b], parity) for b in range(17))
+        # y-exponent patterns available to phi(b): image parity is |b|+|phi|
+        self.thetas = tuple(_CODES[(PARITY[b] + parity) % 2] for b in range(17))
         self.ncols = 17 * 8
 
     def col(self, b: int, code: int) -> int:
@@ -110,7 +104,7 @@ class GradedLayout:
     # -- the linear system -------------------------------------------------
 
     def equations(self) -> np.ndarray:
-        """Rows of the 0-weight derivation system, cached on the module.
+        """Rows of the 0-weight derivation system.
 
         Each unordered pair {a,b} contributes the derivation identity
         projected on the 16 coordinates of the weight-(beta_a+beta_b) space
@@ -119,12 +113,6 @@ class GradedLayout:
         instance of the identity, since [a,a] = 0 and p is odd.
         """
         module = self.module
-        cache = getattr(module, "_equation_cache", None)
-        if cache is None:
-            cache = module._equation_cache = {}
-        cached = cache.get(self.parity)
-        if cached is not None:
-            return cached
         p = module.p
         par = self.parity
         weights = module.algebra.weights
@@ -134,7 +122,7 @@ class GradedLayout:
         pairs += [(a, a) for a in range(17) if PARITY[a]]
         for a, b in pairs:
             row_par = (PARITY[a] + PARITY[b] + par) % 2
-            row_codes = EVEN_THETAS if row_par == 0 else ODD_THETAS
+            row_codes = _CODES[row_par]
             eq = np.zeros((8, self.ncols), dtype=np.int64)
             if a == b:
                 actions = [(a, a, 1)]
@@ -153,30 +141,24 @@ class GradedLayout:
                 block = module.block(g, weights[u])[np.ix_(row_codes, self.thetas[u])]
                 eq[:, u * 8:(u + 1) * 8] += sign * block
             rows.extend(row % p for row in eq if row.any())
-        mat = (
-            np.array(rows, dtype=np.int64)
-            if rows
-            else np.zeros((0, self.ncols), dtype=np.int64)
-        )
-        cache[self.parity] = mat
-        return mat
+        if not rows:
+            return np.zeros((0, self.ncols), dtype=np.int64)
+        return np.array(rows, dtype=np.int64)
 
-    def inner_vectors(self) -> list[np.ndarray]:
-        """Encodings of D_m over the weight-0 basis monomials of this parity."""
+    def inner_vectors(self) -> np.ndarray:
+        """One row per D_m, m a weight-0 basis monomial of this parity."""
         module = self.module
-        codes = EVEN_THETAS if self.parity == 0 else ODD_THETAS
+        codes = _CODES[self.parity]
         vecs = np.zeros((8, self.ncols), dtype=np.int64)
         for b in range(17):
             sign = -1 if PARITY[b] and self.parity else 1
             block = module.block(b, (0, 0, 0))
             vecs[:, b * 8:(b + 1) * 8] = sign * block[np.ix_(self.thetas[b], codes)].T
-        return list(vecs % module.p)
+        return vecs % module.p
 
 
-def graded_spaces(
-    module: VermaModule, parity: int
-) -> tuple[linalg.Subspace, linalg.Subspace]:
-    """(0-weight derivation kernel, 0-weight inner span), cached per module."""
+def graded_spaces(module: VermaModule, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(0-weight derivation kernel, inner span) as RREF arrays, cached per module."""
     cache = getattr(module, "_space_cache", None)
     if cache is None:
         cache = module._space_cache = {}
@@ -184,16 +166,9 @@ def graded_spaces(
     if cached is None:
         layout = GradedLayout(module, parity)
         kernel = linalg.kernel_basis(layout.equations(), module.p)
-        inner = linalg.Subspace.from_vectors(
-            layout.inner_vectors(), layout.ncols, module.p
-        )
+        inner = linalg.rref(layout.inner_vectors(), module.p)[0]
         cached = cache[parity] = (kernel, inner)
     return cached
-
-
-def zero_weight_inner_space(module: VermaModule, parity: int) -> linalg.Subspace:
-    """Canonical span of the encoded 0-weight inner derivations."""
-    return graded_spaces(module, parity)[1]
 
 
 @dataclass
@@ -242,14 +217,12 @@ def h1(module: VermaModule) -> H1Result:
     reps: list[DerivationMap] = []
     for parity in (0, 1):
         kernel, inner = graded_spaces(module, parity)
-        if not kernel.contains_subspace(inner):
+        if linalg.reduce(kernel, inner, p).any():
             raise ConsistencyError("inner derivations fall outside the kernel")
-        dims[parity] = kernel.dim - inner.dim
-        graded[parity] = (kernel.dim, inner.dim)
+        dims[parity] = len(kernel) - len(inner)
+        graded[parity] = (len(kernel), len(inner))
         if dims[parity]:
-            reduced = [inner.reduce(row) for row in kernel.basis]
-            reduced = [r for r in reduced if r.any()]
-            basis, _ = linalg.rref(np.array(reduced, dtype=np.int64), p)
+            basis, _ = linalg.rref(linalg.reduce(inner, kernel, p), p)
             if basis.shape[0] != dims[parity]:
                 raise ConsistencyError("representative extraction lost rank")
             for row in basis:
@@ -263,109 +236,62 @@ def h1(module: VermaModule) -> H1Result:
 # -- ungraded oracle ---------------------------------------------------------
 
 
-def _parity_positions(module: VermaModule):
-    """For each parity: monomial indices of that parity and index -> slot."""
-    dim = module.dim
-    mp = monomial_parity(np.arange(dim, dtype=np.int64))
-    lists = []
-    positions = []
-    for parity in (0, 1):
-        idx = np.nonzero(mp == parity)[0]
-        pos = np.full(dim, -1, dtype=np.int64)
-        pos[idx] = np.arange(len(idx))
-        lists.append(idx)
-        positions.append(pos)
-    return mp, lists, positions
-
-
-def _full_inner_matrix(module: VermaModule, parity: int) -> linalg.SparseMatrix:
-    """Rows encode D_m over the basis m of the given parity."""
-    p = module.p
-    mats = module.matrices()
-    mp, lists, positions = _parity_positions(module)
-    half = len(lists[0])
-    m_list = lists[parity]
-    rows, cols, vals = [], [], []
-    for b in range(17):
-        img_par = (PARITY[b] + parity) % 2
-        sub = mats[b].tocsc()[:, m_list].tocoo()
-        if len(sub.data) == 0:
-            continue
-        if not (mp[sub.row] == img_par).all():
-            raise ConsistencyError("action violates the parity grading")
-        sign = -1 if PARITY[b] and parity else 1
-        rows.append(sub.col)  # one row per basis element m
-        cols.append(b * half + positions[img_par][sub.row])
-        vals.append(sign * sub.data % p)
-    entries = (
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
-    return linalg.SparseMatrix(len(m_list), 17 * half, entries, p)
+def _sparse(mat, p: int) -> linalg.SparseMatrix:
+    coo = mat.tocoo()
+    return linalg.SparseMatrix(*coo.shape, (coo.row, coo.col, coo.data), p)
 
 
 def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
     """(dim Der, dim Ider) of the given parity, with no weight restriction.
 
-    Unknowns are 17 full module vectors (one per generator, parity-matched
-    halves); the system stacks the identity for every unordered generator
-    pair plus the odd diagonals, projected on every module coordinate.  The
-    resulting sparse matrix splits into column-connected components that are
-    eliminated exactly; the kernel dimension is the derivation-space
+    Unknowns are 17 full module vectors: phi(g) lies in the half of M of
+    parity |g|+|phi|, block column g of the system, so column g*half + i is
+    the i-th monomial of that half.  Block row e stacks the identity for the
+    e-th unordered generator pair (then the odd diagonals) on every module
+    coordinate, row e*dim + n: c times the identity's parity-column slice for
+    each term c.g of [a,b], and signed parity-column slices of the action
+    matrices of a and b.  The system splits into column-connected components
+    that are eliminated exactly; its kernel dimension is the derivation-space
     dimension.  Feasible sizes only: refuses p > 7.
     """
     p = module.p
     if p > 7:
         raise ValueError("ungraded oracle is limited to p <= 7")
     mats = module.matrices()
-    coos = [m.tocoo() for m in mats]
-    mp, lists, positions = _parity_positions(module)
-    half = len(lists[0])
-    dim = module.dim
+    mp = monomial_parity(np.arange(module.dim, dtype=np.int64))
+    for g, mat in enumerate(mats):
+        coo = mat.tocoo()
+        if ((mp[coo.row] + mp[coo.col] + PARITY[g]) % 2).any():
+            raise ConsistencyError("action violates the parity grading")
+    halves = [np.flatnonzero(mp == q) for q in (0, 1)]
+    # the identity and each generator's action on the monomials of each parity
+    ident = sp.identity(module.dim, dtype=np.int64, format="csc")
+    eye = [ident[:, h] for h in halves]
+    acts = [[mat.tocsc()[:, h] for h in halves] for mat in mats]
+    unk = [(PARITY[g] + parity) % 2 for g in range(17)]  # the parity of phi(g)
     bracket = module.algebra.bracket_items
-    rows_out, cols_out, vals_out = [], [], []
     pairs = [(a, b) for a in range(17) for b in range(a + 1, 17)]
     pairs += [(a, a) for a in range(17) if PARITY[a]]
-    for eq_index, (a, b) in enumerate(pairs):
-        base = eq_index * dim
+    grid = [[[] for _ in range(17)] for _ in pairs]
+    for terms, (a, b) in zip(grid, pairs):
         if a == b:
-            coo = coos[a]
-            mask = mp[coo.col] == (PARITY[a] + parity) % 2
-            rows_out.append(base + coo.row[mask])
-            cols_out.append(
-                a * half + positions[(PARITY[a] + parity) % 2][coo.col[mask]]
-            )
-            vals_out.append(coo.data[mask])
+            terms[a].append(acts[a][unk[a]])
             continue
         for g, c in bracket[a][b]:
-            g_par = (PARITY[g] + parity) % 2
-            idx = lists[g_par]
-            rows_out.append(base + idx)
-            cols_out.append(g * half + np.arange(half))
-            vals_out.append(np.full(half, c, dtype=np.int64))
+            terms[g].append(c * eye[unk[g]])
         s1 = -1 if parity and PARITY[a] else 1
         s2 = -1 if PARITY[b] and (parity + PARITY[a]) % 2 else 1
-        for act_gen, unk_gen, sign in ((a, b, -s1), (b, a, s2)):
-            coo = coos[act_gen]
-            unk_par = (PARITY[unk_gen] + parity) % 2
-            mask = mp[coo.col] == unk_par
-            rows_out.append(base + coo.row[mask])
-            cols_out.append(unk_gen * half + positions[unk_par][coo.col[mask]])
-            vals_out.append(sign * coo.data[mask] % p)
-    system = linalg.SparseMatrix(
-        len(pairs) * dim,
-        17 * half,
-        (
-            np.concatenate(rows_out),
-            np.concatenate(cols_out),
-            np.concatenate(vals_out),
-        ),
-        p,
-    )
-    dim_der = 17 * half - linalg.rank(system)
-    dim_ider = linalg.rank(_full_inner_matrix(module, parity))
-    return dim_der, dim_ider
+        terms[b].append(-s1 * acts[a][unk[b]])
+        terms[a].append(s2 * acts[b][unk[a]])
+    # a block is the sum of its terms, and None (zero) when it has none
+    system = sp.bmat([[sum(t[1:], t[0]) if t else None for t in row] for row in grid])
+    # row m of the inner matrix is D_m, D_m(b) = (-1)^{|b||m|} b.m of parity unk[b]
+    inner = sp.hstack([
+        (-1 if PARITY[b] and parity else 1) * acts[b][parity][halves[unk[b]]].T
+        for b in range(17)
+    ])
+    dim_der = system.shape[1] - linalg.rank(_sparse(system, p))
+    return dim_der, linalg.rank(_sparse(inner, p))
 
 
 # -- the psi families ---------------------------------------------------------
@@ -527,7 +453,7 @@ def check_lemma_h_images(module: VermaModule) -> list[str]:
     bad = []
     for parity in (0, 1):
         kernel = graded_spaces(module, parity)[0]
-        for k, row in enumerate(kernel.basis):
+        for k, row in enumerate(kernel):
             phi = DerivationMap(parity, row)
             for i, h in enumerate((H1, H2, H3)):
                 support = _image_support(phi, module, h)
@@ -559,7 +485,7 @@ def check_f_coupling(module: VermaModule) -> list[str]:
     for parity in (0, 1):
         layout = GradedLayout(module, parity)
         kernel = graded_spaces(module, parity)[0]
-        for idx, row in enumerate(kernel.basis):
+        for idx, row in enumerate(kernel):
             coeff = [
                 {code: int(row[layout.col(g, code)]) for code in layout.thetas[g]}
                 for g in (F1, F2, F3)
@@ -590,22 +516,13 @@ class PointSummary:
     chi_f: tuple[int, int, int]
     dim_even: int
     dim_odd: int
-    h_image_violations: tuple[str, ...] = ()
-    coupling_violations: tuple[str, ...] = ()
 
 
-def compute_point(
-    p: int, alpha: int, lam, chi, diagnostics: bool = False
-) -> PointSummary:
+def compute_point(p: int, alpha: int, lam, chi) -> PointSummary:
     """Graded H^1 at one parameter point (process-pool friendly)."""
     module = VermaModule(build_algebra(p, alpha), lam, chi)
     result = h1(module)
-    hv: tuple[str, ...] = ()
-    cv: tuple[str, ...] = ()
-    if diagnostics:
-        hv = tuple(check_lemma_h_images(module))
-        cv = tuple(check_f_coupling(module))
     return PointSummary(
         p, alpha % p, tuple(v % p for v in lam), tuple(c % p for c in chi),
-        result.dim_even, result.dim_odd, hv, cv,
+        result.dim_even, result.dim_odd,
     )

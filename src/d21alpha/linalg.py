@@ -1,4 +1,4 @@
-"""Exact linear algebra over F_p: RREF, rank, kernels, subspaces.
+"""Exact linear algebra over F_p: RREF, rank, kernels, residues.
 
 One elimination kernel, `rref`, serves every caller.  A tall matrix M (more
 than twice as many rows as its sketch height cols + SKETCH_EXTRA) is first
@@ -10,7 +10,8 @@ RREFs are equal, and RREF(C) is returned (Las Vegas preconditioning:
 Kaltofen and Saunders, "On Wiedemann's method of solving sparse linear
 systems", AAECC 1991).  A failed check redraws R; after MAX_DRAWS draws the
 plain per-pivot elimination runs on M itself.  Kernels are read off the
-RREF (the graded derivation systems).  The rank of a sparse system (the
+RREF (the graded derivation systems); a subspace is its RREF array, and
+`reduce` takes residues modulo it.  The rank of a sparse system (the
 ungraded oracle) splits it into column-connected components and eliminates
 each component densely.  All arithmetic is integer arithmetic mod p, with
 no floats; results are canonical, so rank and kernel bases do not depend on
@@ -84,51 +85,16 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _rref_plain(mat, p)
 
 
-class Subspace:
-    """A subspace of F_p^n held as a canonical RREF basis (rows)."""
+def reduce(E: np.ndarray, V, p: int) -> np.ndarray:
+    """Residues of the vectors V (rows) modulo the row space of the RREF E.
 
-    def __init__(self, basis: np.ndarray, ambient_dim: int, p: int):
-        self.p = p
-        self.ambient_dim = ambient_dim
-        if basis.size:
-            self.basis, _ = rref(basis, p)
-        else:
-            self.basis = np.zeros((0, ambient_dim), dtype=np.int64)
-
-    @classmethod
-    def from_vectors(cls, vectors, ambient_dim: int, p: int) -> "Subspace":
-        if len(vectors) == 0:
-            return cls(np.zeros((0, ambient_dim), dtype=np.int64), ambient_dim, p)
-        return cls(np.array(vectors, dtype=np.int64), ambient_dim, p)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def reduce(self, vec: np.ndarray) -> np.ndarray:
-        """Residue of vec modulo this subspace (zero iff vec is contained)."""
-        p = self.p
-        v = np.asarray(vec, dtype=np.int64) % p
-        for row in self.basis:
-            c = int(v[int(np.nonzero(row)[0][0])]) if row.any() else 0
-            if c:
-                v = (v - c * row) % p
-        return v
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec).any()
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.p == other.p
-            and self.ambient_dim == other.ambient_dim
-            and self.basis.shape == other.basis.shape
-            and (self.basis == other.basis).all()
-        )
+    Each row of E is 0 at every other row's pivot, so subtracting every row
+    at once, scaled by the entry of V at its pivot, leaves V 0 at every
+    pivot; a residue is 0 exactly when the vector lies in the row space.
+    """
+    V = np.asarray(V, dtype=np.int64) % p
+    pivots = np.argmax(E != 0, axis=1)
+    return (V - V[..., pivots] @ E) % p
 
 
 class SparseMatrix:
@@ -196,10 +162,9 @@ def rank(M, p: int | None = None) -> int:
     return total
 
 
-def kernel_basis(M: np.ndarray, p: int) -> Subspace:
-    """Canonical basis of {x : Mx = 0} for a dense matrix M."""
+def kernel_basis(M: np.ndarray, p: int) -> np.ndarray:
+    """Canonical basis of {x : Mx = 0} for a dense matrix M, as an RREF array."""
     M = np.atleast_2d(np.asarray(M, dtype=np.int64))
     cols = M.shape[1]
     R, pivots = rref(M, p)
-    # Subspace echelonizes the basis into its canonical form
-    return Subspace(_kernel_from_rref(R, pivots, cols, p), cols, p)
+    return rref(_kernel_from_rref(R, pivots, cols, p), p)[0]

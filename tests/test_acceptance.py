@@ -9,12 +9,15 @@ import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import pytest
 
 from d21alpha.algebra import build_algebra
 from d21alpha.cli import main
-from d21alpha.cohomology import compute_point, full_derivation_dims, h1
+from d21alpha.cohomology import (
+    check_f_coupling, check_lemma_h_images, compute_point, full_derivation_dims, h1,
+)
 from d21alpha.enveloping import VermaModule, theta_tuple, verify_module_axioms
 
 ALPHAS = (1, 2, 3)
@@ -27,20 +30,33 @@ def _jobs() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def _run_grid(p, alphas, lambdas, chis, diagnostics=False):
-    tasks = [
-        (p, a, lam, chi, diagnostics)
-        for a in alphas
-        for chi in chis
-        for lam in lambdas
-    ]
+@dataclass(frozen=True)
+class CheckedPoint:
+    dim_even: int
+    dim_odd: int
+    h_image_violations: tuple[str, ...]
+    coupling_violations: tuple[str, ...]
+
+
+def _checked_point(p, alpha, lam, chi):
+    """H^1 at one point plus the two structural checks on the same module."""
+    module = VermaModule(build_algebra(p, alpha), lam, chi)
+    result = h1(module)
+    return CheckedPoint(
+        result.dim_even, result.dim_odd,
+        tuple(check_lemma_h_images(module)), tuple(check_f_coupling(module)),
+    )
+
+
+def _run_grid(p, alphas, lambdas, chis, worker=compute_point):
+    tasks = [(p, a, lam, chi) for a in alphas for chi in chis for lam in lambdas]
     jobs = _jobs()
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(compute_point, *zip(*tasks), chunksize=8))
+            results = list(pool.map(worker, *zip(*tasks), chunksize=8))
     else:
-        results = [compute_point(*t) for t in tasks]
-    return {(s.alpha, s.lam, s.chi_f): s for s in results}
+        results = [worker(*t) for t in tasks]
+    return {(a, lam, chi): s for (_, a, lam, chi), s in zip(tasks, results)}
 
 
 def _all_lambdas(p):
@@ -59,7 +75,7 @@ def _expected_nonzero(p):
 @pytest.fixture(scope="session")
 def scan_p5():
     t0 = time.time()
-    grid = _run_grid(5, ALPHAS, _all_lambdas(5), [(0, 0, 0)], diagnostics=True)
+    grid = _run_grid(5, ALPHAS, _all_lambdas(5), [(0, 0, 0)], _checked_point)
     print(f"\n[p=5 grid: {len(grid)} points in {time.time()-t0:.0f} s]")
     return grid
 
@@ -67,7 +83,7 @@ def scan_p5():
 @pytest.fixture(scope="session")
 def scan_p7():
     t0 = time.time()
-    grid = _run_grid(7, ALPHAS, _all_lambdas(7), [(0, 0, 0)], diagnostics=True)
+    grid = _run_grid(7, ALPHAS, _all_lambdas(7), [(0, 0, 0)], _checked_point)
     print(f"\n[p=7 grid: {len(grid)} points in {time.time()-t0:.0f} s]")
     return grid
 

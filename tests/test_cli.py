@@ -86,7 +86,7 @@ def test_check_refuses_bad_input_before_writing(tmp_path, capsys, flag, value):
     assert "bracket tensor written" not in err
 
 
-@pytest.mark.parametrize("where", ["missing_dir/x.json", "."])
+@pytest.mark.parametrize("where", ["missing_dir/x.json", ".", ""])
 def test_unwritable_output_is_refused_before_any_work(
     tmp_path, monkeypatch, capsys, where
 ):
@@ -94,12 +94,25 @@ def test_unwritable_output_is_refused_before_any_work(
         raise AssertionError("h1 ran before --output was checked")
 
     monkeypatch.setattr(cli, "h1", no_work)
+    # an empty path is not a file name, and must not fall back to stdout
+    output = str(tmp_path / where) if where else where
     code, out, err = run(capsys, "h1", "--p", "5", "--alpha", "2",
-                         "--lambda", "2,3,3", "--output", str(tmp_path / where))
+                         "--lambda", "2,3,3", "--output", output)
     assert code == 1
     assert out == ""
     assert err.startswith("error: cannot write --output")
     assert "Traceback" not in err
+
+
+def test_check_has_no_output_flag(tmp_path, capsys):
+    # check writes no data, so an --output flag is refused, not ignored
+    path = tmp_path / "report.txt"
+    code, out, err = run(capsys, "check", "--p", "5", "--alpha", "2",
+                         "--algebra-only", "--output", str(path))
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --output" in err
+    assert not path.exists()
 
 
 def test_os_error_is_a_parameter_error(tmp_path, capsys):
@@ -329,11 +342,16 @@ PINNED_OUTPUTS = [
      "5709cb39130cf7074242c44380af824449cedf42228e21b0e77ba71080e02667"),
     (["verify-psi", "--which", "4", "--p", "5", "--alpha", "2"],
      "e70067f4af2871c002ab78bb14ed8807a1604c368d464cf195f94b9dfd931650"),
+    # the oracle's absolute dims (der, ider) per parity, not only their difference
+    (["h1", "--p", "5", "--alpha", "2", "--lambda", "2,3,3", "--method", "both"],
+     "235d26793bac7c51108cd5c3679fd0b6081b034886ce6f13d24e2c45e11da417"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS,
-                         ids=["-".join(argv[:7:2]) for argv, _ in PINNED_OUTPUTS])
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_OUTPUTS,
+    ids=["-".join(argv[:7:2] + argv[8:]) for argv, _ in PINNED_OUTPUTS],
+)
 def test_outputs_are_byte_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
