@@ -2,12 +2,11 @@
 
 from .algebra import SuperAlgebra, build_algebra
 from .cohomology import DerivationMap, H1Result, full_derivation_dims, h1, psi
-from .enveloping import PBWMonomial, VermaModule
+from .enveloping import VermaModule
 
 __all__ = [
     "DerivationMap",
     "H1Result",
-    "PBWMonomial",
     "SuperAlgebra",
     "VermaModule",
     "build_algebra",

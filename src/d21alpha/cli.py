@@ -20,7 +20,7 @@ from .cohomology import (
     ConsistencyError, PSI_REGIMES, compute_point, full_derivation_dims,
     graded_spaces, h1, psi, psi_lambda,
 )
-from .enveloping import PBWMonomial, VermaModule, verify_module_axioms
+from .enveloping import VermaModule, decode, theta_tuple, verify_module_axioms
 from .field import is_prime
 
 # A graded point (h1, verify-psi, a one-point scan) costs about the same at
@@ -65,8 +65,8 @@ def _validate_p(p: int, method: str = "graded", cap: int = MAX_P) -> None:
     # the range first: is_prime is trial division, slow for a huge p
     if not 3 < p <= cap or not is_prime(p):
         raise CliError(f"p must be a prime with 3 < p <= {cap}, got {p}")
-    if method in ("full", "both") and p > MAX_P_FULL:
-        raise CliError(f"the full (ungraded) method is capped at p <= {MAX_P_FULL}")
+    if method == "both" and p > MAX_P_FULL:
+        raise CliError(f"the ungraded oracle is capped at p <= {MAX_P_FULL}")
 
 
 def _alphas(text: str, p: int) -> list[int]:
@@ -183,8 +183,8 @@ def cmd_verma(args) -> int:
     for beta in sorted(decomposition):
         basis = []
         for n in sorted(decomposition[beta]):
-            m = PBWMonomial.from_index(n, args.p)
-            basis.append([*m.i, *m.j])
+            *i, code = decode(n, args.p)
+            basis.append([*i, *theta_tuple(code)])
         weights.append({"beta": list(beta), "dim": len(basis), "basis": basis})
     payload = {"lambda": list(lam), "weights": weights}
     _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.output)
@@ -207,7 +207,7 @@ def cmd_h1(args) -> int:
     module = VermaModule(build_algebra(args.p, alpha), lam, chi)
     result = h1(module)
     payload = result.to_json_dict()
-    if args.method in ("full", "both"):
+    if args.method == "both":
         oracle = {}
         for parity, label in ((0, "even"), (1, "odd")):
             der, ider = full_derivation_dims(module, parity)
@@ -374,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("h1", help="H^1 superdimension at one parameter point")
     common(sp, lam_default="0,0,0")
-    sp.add_argument("--method", choices=("graded", "full", "both"),
-                    default="graded",
-                    help="graded solver, ungraded oracle, or cross-checked both")
+    sp.add_argument("--method", choices=("graded", "both"), default="graded",
+                    help="graded solver, or the graded solver cross-checked "
+                         "against the ungraded oracle (p <= 7)")
     sp.set_defaults(func=cmd_h1)
 
     sp = sub.add_parser("scan", help="sweep lambda/alpha and emit CSV")

@@ -52,28 +52,17 @@ class DerivationMap:
     def defects(self, module: VermaModule) -> list[tuple[str, str]]:
         """Ordered generator pairs violating the derivation identity.
 
-        Checks phi([a,b]) = s1 a.phi(b) - s2 b.phi(a) on all 289 ordered pairs
-        at once, as 16-vectors over the theta codes of weight beta_a + beta_b.
-        Phi (17 x 16) holds phi(b) over the theta codes of weight beta_b, the
-        bracket side is C.Phi with C the structure constants, and the action
-        side reads module.block(a, beta_b), only where phi(b) is nonzero.
+        Reads the identity of each unordered pair {a,b} off
+        GradedLayout.identity() and lists a failing pair in both orders,
+        sorted: with eps = -(-1)^{|a||b|}, [b,a] = eps [a,b] and the identity
+        of (b,a) is eps times that of (a,b).
         """
-        p, alg, par = module.p, module.algebra, np.array(PARITY)
-        thetas = np.array(GradedLayout(module, self.parity).thetas)
-        Phi = np.zeros((17, 16), dtype=np.int64)
-        Phi[np.arange(17)[:, None], thetas] = np.reshape(self.coords, (17, 8))
-        C = np.array([alg.ad_matrix(a) for a in range(17)])  # C[a, g, b]
-        lhs = np.einsum("agb,gk->abk", C, Phi)
-        blocks = np.zeros((17, 17, 16, 16), dtype=np.int64)
-        for b in np.flatnonzero(Phi.any(axis=1)):
-            for a in range(17):
-                blocks[a, b] = module.block(a, alg.weights[b])
-        acts = np.einsum("abrc,bc->abr", blocks, Phi)  # acts[a, b] = a.phi(b)
-        s1 = (-1) ** (self.parity * par)  # (-1)^{|phi||a|}
-        s2 = (-1) ** np.outer(self.parity + par, par)  # (-1)^{|b|(|phi|+|a|)}
-        rhs = s1[:, None, None] * acts - s2[:, :, None] * acts.transpose(1, 0, 2)
-        bad = np.argwhere(((lhs - rhs) % p).any(axis=2))
-        return [(GENERATOR_NAMES[a], GENERATOR_NAMES[b]) for a, b in bad]
+        L, pairs = GradedLayout(module, self.parity).identity()
+        failing = (L @ self.coords % module.p).any(axis=1)
+        ordered = sorted(
+            {q for (a, b), bad in zip(pairs, failing) if bad for q in ((a, b), (b, a))}
+        )
+        return [(GENERATOR_NAMES[a], GENERATOR_NAMES[b]) for a, b in ordered]
 
 
 def _image_support(phi: DerivationMap, module: VermaModule, g: int) -> list[list[int]]:
@@ -103,47 +92,53 @@ class GradedLayout:
 
     # -- the linear system -------------------------------------------------
 
-    def equations(self) -> np.ndarray:
-        """Rows of the 0-weight derivation system.
+    def identity(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        """The derivation identity of every unordered pair, as one linear map.
 
-        Each unordered pair {a,b} contributes the derivation identity
-        projected on the 16 coordinates of the weight-(beta_a+beta_b) space
-        (only the 8 of matching parity can be nonzero), and each odd
-        generator additionally contributes a phi(a) = 0, the diagonal
-        instance of the identity, since [a,a] = 0 and p is odd.
+        pairs lists the 153 pairs a <= b in lexicographic order, and
+        L[e] @ coords (shape (153, 8, 136), mod p) is
+        phi([a,b]) - s1 a.phi(b) + s2 b.phi(a) for (a, b) = pairs[e], on the
+        8 theta codes of weight beta_a + beta_b and parity |a|+|b|+|phi|; the
+        other 8 vanish by the parity grading.  [a,b] has parity |a|+|b|, so
+        phi([a,b]) reads its coordinates as they are.  An even diagonal row
+        is 0 = 0, and an odd one reads 2 a.phi(a) = 0, as [a,a] = 0.  Cached
+        per module and parity.
         """
-        module = self.module
-        p = module.p
-        par = self.parity
-        weights = module.algebra.weights
-        bracket = module.algebra.bracket_items
-        rows: list[np.ndarray] = []
-        pairs = [(a, b) for a in range(17) for b in range(a + 1, 17)]
-        pairs += [(a, a) for a in range(17) if PARITY[a]]
-        for a, b in pairs:
-            row_par = (PARITY[a] + PARITY[b] + par) % 2
-            row_codes = _CODES[row_par]
-            eq = np.zeros((8, self.ncols), dtype=np.int64)
-            if a == b:
-                actions = [(a, a, 1)]
-            else:
-                # [a,b] has parity |a|+|b|, so its image thetas match the rows
-                pos = _THETA_POS[row_par]
-                for g, c in bracket[a][b]:
-                    for code in self.thetas[g]:
-                        eq[pos[code], self.col(g, code)] += c
-                s1 = -1 if par and PARITY[a] else 1
-                s2 = -1 if PARITY[b] and (par + PARITY[a]) % 2 else 1
-                actions = [(a, b, -s1), (b, a, s2)]
-            # sign * g.phi(u): rows of the weight-(beta_a+beta_b) space; the
-            # unknowns of phi(u) are columns u*8.. in the order of thetas[u]
-            for g, u, sign in actions:
-                block = module.block(g, weights[u])[np.ix_(row_codes, self.thetas[u])]
-                eq[:, u * 8:(u + 1) * 8] += sign * block
-            rows.extend(row % p for row in eq if row.any())
-        if not rows:
-            return np.zeros((0, self.ncols), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
+        return _cached(self.module, ("identity", self.parity), self._build_identity)
+
+    def _build_identity(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+        module, par = self.module, self.parity
+        alg = module.algebra
+        odd = np.array(PARITY)
+        # blocks[g, u] = g from M_{beta_u}; an even diagonal cancels in its own row
+        blocks = np.zeros((17, 17, 16, 16), dtype=np.int64)
+        for g in range(17):
+            for u in range(17):
+                if g != u or odd[g]:
+                    blocks[g, u] = module.block(g, alg.weights[u])
+        # acts[g, u] = g.phi(u) on the row codes of the pair {g, u}
+        rows = np.array(_CODES)[(odd[:, None] + odd + par) % 2]
+        g, u = np.ogrid[:17, :17]
+        thetas = np.array(self.thetas)
+        acts = blocks[g[..., None, None], u[..., None, None],
+                      rows[..., None], thetas[u][..., None, :]]
+        a, b = np.triu_indices(17)
+        e = np.arange(len(a))
+        s1 = (-1) ** (par * odd)  # (-1)^{|phi||a|}
+        s2 = (-1) ** np.outer(par + odd, odd)  # (-1)^{|b|(|phi|+|a|)}
+        C = np.array([alg.ad_matrix(x) for x in range(17)])  # C[a, g, b]
+        # phi([a,b]): c times the 8x8 identity on the columns of g, per term c.g
+        L = C[a, :, b][:, None, :, None] * np.eye(8, dtype=np.int64)[:, None, :]
+        L[e, :, b] -= s1[a, None, None] * acts[a, b]
+        L[e, :, a] += s2[a, b, None, None] * acts[b, a]
+        L = L.reshape(len(e), 8, self.ncols) % module.p
+        L.flags.writeable = False
+        return L, list(zip(a.tolist(), b.tolist()))
+
+    def equations(self) -> np.ndarray:
+        """Rows of the 0-weight derivation system: the nonzero rows of identity()."""
+        rows = self.identity()[0].reshape(-1, self.ncols)
+        return rows[rows.any(axis=1)]
 
     def inner_vectors(self) -> np.ndarray:
         """One row per D_m, m a weight-0 basis monomial of this parity."""
@@ -157,18 +152,23 @@ class GradedLayout:
         return vecs % module.p
 
 
+def _cached(module: VermaModule, key, build):
+    """build() once per module and key: the one cache of the graded layer."""
+    cache = module.__dict__.setdefault("_graded_cache", {})
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 def graded_spaces(module: VermaModule, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """(0-weight derivation kernel, inner span) as RREF arrays, cached per module."""
-    cache = getattr(module, "_space_cache", None)
-    if cache is None:
-        cache = module._space_cache = {}
-    cached = cache.get(parity)
-    if cached is None:
+
+    def build():
         layout = GradedLayout(module, parity)
         kernel = linalg.kernel_basis(layout.equations(), module.p)
-        inner = linalg.rref(layout.inner_vectors(), module.p)[0]
-        cached = cache[parity] = (kernel, inner)
-    return cached
+        return kernel, linalg.rref(layout.inner_vectors(), module.p)[0]
+
+    return _cached(module, ("spaces", parity), build)
 
 
 @dataclass
@@ -318,7 +318,7 @@ def psi_lambda(which: int, p: int) -> tuple[int, int, int]:
 
 
 def _psi_theta_images(which: int, params, module: VermaModule):
-    """Images as {generator: {theta_code: coeff}}, plus display notes.
+    """Images as {generator: {theta code: coeff}}, plus display notes.
 
     Weight subscripts of the defining tables are normalized to the acted-on
     generator's weight (a 0-weight map admits nothing else); the two entries

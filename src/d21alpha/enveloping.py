@@ -33,7 +33,6 @@ the action reads these blocks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -63,12 +62,6 @@ class ConsistencyError(RuntimeError):
 # or an int64 numpy array and applies the same expressions to either.
 
 THETA_BITS = (8, 4, 2, 1)  # bit of y1..y4 inside a theta code
-
-
-def theta_code(j) -> int:
-    """Theta code of the y-exponents (j1, j2, j3, j4)."""
-    j1, j2, j3, j4 = j
-    return j1 * 8 + j2 * 4 + j3 * 2 + j4
 
 
 def theta_tuple(code):
@@ -118,30 +111,6 @@ Y_WORDS = tuple(
     tuple(Y1 + k for k, jk in enumerate(theta_tuple(c)) if jk) for c in range(16)
 )
 
-@dataclass(frozen=True)
-class PBWMonomial:
-    """Exponent data of one basis monomial f1^i1 f2^i2 f3^i3 y^j (x) v."""
-
-    i: tuple[int, int, int]
-    j: tuple[int, int, int, int]
-
-    def index(self, p: int) -> int:
-        return encode(*self.i, theta_code(self.j), p)
-
-    @classmethod
-    def from_index(cls, n: int, p: int) -> "PBWMonomial":
-        i1, i2, i3, code = decode(n, p)
-        return cls((i1, i2, i3), theta_tuple(code))
-
-
-@dataclass(frozen=True)
-class WeightSpaceBasis:
-    """The 16 basis monomials of one weight space of the module."""
-
-    beta: tuple[int, int, int]
-    entries: tuple[tuple[int, PBWMonomial], ...]  # (theta code, monomial)
-
-
 # Generators whose blocks are commutators of other generators' blocks:
 #   x3 = [e3, x4],  x2 = [e2, x4],  x1 = [e2, x3],  e1 = [x1, x4]/(2(1+alpha)).
 DERIVED_GENS = {X3: (E3, X4), X2: (E2, X4), X1: (E2, X3), E1: (X1, X4)}
@@ -177,10 +146,8 @@ class VermaModule:
         i1, i2, i3, code = decode(n, self.p)
         return (F1,) * i1 + (F2,) * i2 + (F3,) * i3 + Y_WORDS[code]
 
-    def weight_of_monomial(self, n: int | PBWMonomial) -> tuple[int, int, int]:
-        """Weight of a basis monomial, as canonical residues."""
-        if isinstance(n, PBWMonomial):
-            n = n.index(self.p)
+    def weight_of_monomial(self, n: int) -> tuple[int, int, int]:
+        """Weight of the basis monomial with index n, as canonical residues."""
         return monomial_weight(n, self.lam, self.p)
 
     def w_index(self, beta, code: int) -> int:
@@ -198,15 +165,16 @@ class VermaModule:
             p,
         )
 
-    def weight_basis(self, beta) -> WeightSpaceBasis:
-        """All 16 basis monomials of weight beta (beta arbitrary)."""
+    def weight_basis(self, beta) -> tuple[int, ...]:
+        """Indices of the 16 monomials of weight beta, by theta code, cached."""
         p = self.p
-        beta = tuple(b % p for b in beta)
-        entries = tuple(
-            (code, PBWMonomial.from_index(self.w_index(beta, code), p))
-            for code in range(16)
-        )
-        return WeightSpaceBasis(beta, entries)
+        beta = (beta[0] % p, beta[1] % p, beta[2] % p)
+        space = self._spaces.get(beta)
+        if space is None:
+            space = self._spaces[beta] = tuple(
+                self.w_index(beta, code) for code in range(16)
+            )
+        return space
 
     def weight_decomposition(self) -> dict[tuple[int, int, int], list[int]]:
         """Monomial indices grouped by weight, in index order."""
@@ -411,15 +379,6 @@ class VermaModule:
         p, w = self.p, self.algebra.weights[g]
         return (beta[0] + w[0]) % p, (beta[1] + w[1]) % p, (beta[2] + w[2]) % p
 
-    def _space(self, beta) -> tuple[int, ...]:
-        """Indices of the 16 monomials of weight beta, by theta code, cached."""
-        space = self._spaces.get(beta)
-        if space is None:
-            space = self._spaces[beta] = tuple(
-                self.w_index(beta, code) for code in range(16)
-            )
-        return space
-
     def block(self, g: int, beta) -> np.ndarray:
         """16x16 int64 matrix of g from M_beta to M_{beta + wt g}, cached.
 
@@ -442,7 +401,7 @@ class VermaModule:
             k = g - F1
             B = np.diag(np.array([
                 self.chi[k] if decode(n, p)[k] == p - 1 else 1
-                for n in self._space(beta)
+                for n in self.weight_basis(beta)
             ], dtype=np.int64))
         elif g in DERIVED_GENS:
             a, b = DERIVED_GENS[g]
@@ -456,7 +415,7 @@ class VermaModule:
             B %= p
         else:
             target = self._shifted(beta, g)
-            sources, space = self._space(beta), self._space(target)
+            sources, space = self.weight_basis(beta), self.weight_basis(target)
             by_parity = (J1_CODES, J3_CODES)
             B = np.zeros((16, 16), dtype=np.int64)
             for parity, codes in enumerate(by_parity):
@@ -485,8 +444,8 @@ class VermaModule:
         if mat is None:
             betas = list(itertools.product(range(self.p), repeat=3))
             blocks = np.array([self.block(g, beta) for beta in betas])
-            sources = np.array([self._space(beta) for beta in betas])
-            targets = np.array([self._space(self._shifted(beta, g)) for beta in betas])
+            sources = np.array([self.weight_basis(beta) for beta in betas])
+            targets = np.array([self.weight_basis(self._shifted(b, g)) for b in betas])
             k, r, c = np.nonzero(blocks)
             mat = self._matrices[g] = sp.csr_matrix(
                 (blocks[k, r, c], (targets[k, r], sources[k, c])),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 # sketch height is cols + SKETCH_EXTRA; a matrix is tall, and compressed,
 # when it has more than twice that many rows
@@ -124,6 +123,9 @@ class SparseMatrix:
         Two columns are connected when some row has nonzero entries in both.
         Columns with no entries form singleton components with no rows.
         """
+        # imported here: it pulls in scipy.linalg, which only the oracle needs
+        from scipy.sparse.csgraph import connected_components
+
         nr, nc = self.shape
         csr = self.csr
         indptr, indices = csr.indptr, csr.indices

@@ -18,7 +18,7 @@ from d21alpha.cli import main
 from d21alpha.cohomology import (
     check_f_coupling, check_lemma_h_images, compute_point, full_derivation_dims, h1,
 )
-from d21alpha.enveloping import VermaModule, theta_tuple, verify_module_axioms
+from d21alpha.enveloping import VermaModule, decode, verify_module_axioms
 
 ALPHAS = (1, 2, 3)
 
@@ -134,10 +134,10 @@ def test_criterion_3_weight_decomposition():
         for beta, members in decomposition.items():
             assert len(members) == 16
             basis = module.weight_basis(beta)
-            assert sorted(m.index(5) for _, m in basis.entries) == members
-            for theta, m in basis.entries:
-                assert module.weight_of_monomial(m) == beta
-                assert m.j == theta_tuple(theta)
+            assert sorted(basis) == members
+            for theta, n in enumerate(basis):
+                assert module.weight_of_monomial(n) == beta
+                assert decode(n, 5)[3] == theta
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"weight decomposition took {elapsed:.1f} s"
     print(f"CRITERION 3 PASS: 5 random lambda decompose into 16-dim weight "

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -177,6 +180,24 @@ def test_h1_method_both_cross_checks(capsys):
     oracle = payload["oracle"]
     for label in ("even", "odd"):
         assert oracle[label]["der"] - oracle[label]["ider"] == 0
+
+
+def test_h1_has_no_method_full(capsys):
+    # both runs the graded solver and the oracle; there is no oracle-only method
+    code, out, err = run(capsys, "h1", "--p", "5", "--alpha", "2",
+                         "--lambda", "2,3,3", "--method", "full")
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'full'" in err
+
+
+def test_import_leaves_the_oracle_graph_code_unloaded():
+    # scipy.sparse.csgraph (and scipy.linalg with it) loads only for the oracle
+    code = "import sys, d21alpha.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_scan_alpha_sweep_single_lambda(capsys):

@@ -15,7 +15,7 @@ from d21alpha.cohomology import (
     h1, psi, psi_lambda,
 )
 from d21alpha.enveloping import (
-    J1_CODES, THETA_BITS, PBWMonomial, VermaModule, monomial_parity,
+    J1_CODES, J3_CODES, THETA_BITS, VermaModule, decode, monomial_parity,
 )
 
 P = 5
@@ -74,7 +74,7 @@ def test_is_outer_examples(m0):
 def test_top_weight_zero_monomial_is_annihilated(m233):
     """At lambda=(2,3,3), chi=0 the all-y weight-0 monomial generates nothing."""
     n = m233.w_index((0, 0, 0), 15)
-    assert PBWMonomial.from_index(n, P).i == (4, 4, 4)
+    assert decode(n, P)[:3] == (4, 4, 4)
     assert not GradedLayout(m233, 0).inner_vectors()[J1_CODES.index(15)].any()
 
 
@@ -280,7 +280,12 @@ def test_compute_point_summary_is_picklable():
 
 
 def _defects_by_pairs(phi, module):
-    """Per-pair oracle of DerivationMap.defects on full 16p^3 module vectors."""
+    """Per-pair oracle of DerivationMap.defects on full 16p^3 module vectors.
+
+    Returns the failing ordered pairs, and per ordered pair (a, b) the defect
+    phi([a,b]) - s1 a.phi(b) + s2 b.phi(a) on the 16 monomials of weight
+    beta_a + beta_b, by theta code (it is 0 off them).
+    """
     p, alg = module.p, module.algebra
     layout = GradedLayout(module, phi.parity)
     images = np.zeros((17, module.dim), dtype=np.int64)
@@ -289,16 +294,20 @@ def _defects_by_pairs(phi, module):
             n = module.w_index(alg.weights[b], code)
             images[b, n] = phi.coords[layout.col(b, code)]
     mats = module.matrices()
-    bad = []
+    bad, by_pair = [], {}
     for a in range(17):
         for b in range(17):
             lhs = sum(c * images[g] for g, c in alg.bracket_items[a][b])
             s1 = -1 if phi.parity and PARITY[a] else 1
             s2 = -1 if PARITY[b] and (phi.parity + PARITY[a]) % 2 else 1
             rhs = s1 * (mats[a] @ images[b]) - s2 * (mats[b] @ images[a])
-            if ((lhs - rhs) % p).any():
+            defect = (lhs - rhs) % p
+            if defect.any():
                 bad.append((GENERATOR_NAMES[a], GENERATOR_NAMES[b]))
-    return bad
+            space = list(module.weight_basis(np.add(alg.weights[a], alg.weights[b])))
+            assert not np.delete(defect, space).any()
+            by_pair[a, b] = defect[space]
+    return bad, by_pair
 
 
 @pytest.mark.parametrize(
@@ -307,12 +316,14 @@ def _defects_by_pairs(phi, module):
 def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
     module = VermaModule(build_algebra(p, alpha), lam, chi)
     rng = np.random.default_rng(p)
+    codes = np.array((J1_CODES, J3_CODES))
     found = 0
     for parity in (0, 1):
+        L, pairs = GradedLayout(module, parity).identity()
         kernel = graded_spaces(module, parity)[0]
         for row in kernel:
             assert DerivationMap(parity, row).defects(module) == []
-            assert _defects_by_pairs(DerivationMap(parity, row), module) == []
+            assert _defects_by_pairs(DerivationMap(parity, row), module)[0] == []
         vectors = [rng.integers(0, p, 136) for _ in range(4)]
         for row in kernel[:4]:
             bumped = row.copy()
@@ -320,9 +331,15 @@ def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
             vectors.append(bumped % p)
         for vec in vectors:
             phi = DerivationMap(parity, vec)
-            expected = _defects_by_pairs(phi, module)
+            expected, by_pair = _defects_by_pairs(phi, module)
             assert phi.defects(module) == expected
             found += len(expected)
+            # the operator's values, not only its failing pairs
+            values = L @ vec % p
+            for e, (a, b) in enumerate(pairs):
+                rows = (PARITY[a] + PARITY[b] + parity) % 2
+                assert (values[e] == by_pair[a, b][codes[rows]]).all()
+                assert not by_pair[a, b][codes[1 - rows]].any()
     assert found  # the perturbed maps do fail the identity somewhere
 
 

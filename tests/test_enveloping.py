@@ -10,8 +10,8 @@ from d21alpha.algebra import (
     generator_weight, representation_defects,
 )
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, ConsistencyError, PBWMonomial, VermaModule,
-    decode, encode, monomial_parity, monomial_weight, theta_code, theta_tuple,
+    J1_CODES, J3_CODES, ConsistencyError, VermaModule,
+    decode, encode, monomial_parity, monomial_weight, theta_tuple,
     verify_module_axioms,
 )
 
@@ -42,11 +42,9 @@ def test_monomial_index_bijection():
             for i3 in range(P):
                 for code in range(16):
                     j = theta_tuple(code)
-                    assert theta_code(j) == code
-                    m = PBWMonomial((i1, i2, i3), j)
-                    n = m.index(P)
+                    n = encode(i1, i2, i3, code, P)
                     assert 0 <= n < 16 * P**3
-                    assert PBWMonomial.from_index(n, P) == m
+                    assert decode(n, P) == (i1, i2, i3, code)
                     # the y's are the only odd letters of the monomial
                     odd_letters = sum(PARITY[Y1 + k] * jk for k, jk in enumerate(j))
                     assert monomial_parity(n) == odd_letters % 2
@@ -112,7 +110,7 @@ def test_codec_round_trip_and_weight(p, exps, code, lam):
 
 def test_normal_form_single_f(module):
     got = module.normal_form(["f1"])
-    assert got == {PBWMonomial((1, 0, 0), (0, 0, 0, 0)).index(P): 1}
+    assert got == {encode(1, 0, 0, 0b0000, P): 1}
 
 
 def test_normal_form_e_then_f_gives_lambda(module):
@@ -143,7 +141,7 @@ def test_normal_form_annihilates_with_positive_tail(module):
     assert module.normal_form(["e2"]) == {}
     assert module.normal_form(["x3"]) == {}
     # x2 f1 v = f1 x2 v - [f1,x2] v = -y2 v: the crossing matters
-    y2v = PBWMonomial((0, 0, 0), (0, 1, 0, 0)).index(P)
+    y2v = encode(0, 0, 0, 0b0100, P)
     assert module.normal_form(["x2", "f1"]) == {y2v: P - 1}
     # h absorbs the weight
     assert module.normal_form(["h2"]) == {0: LAM[1] % P}
@@ -180,16 +178,16 @@ def _column(module, g, n):
 
 
 def test_f_action_wraps_with_chi(module, module_chi):
-    top = PBWMonomial((P - 1, 0, 0), (0, 0, 0, 0)).index(P)
+    top = encode(P - 1, 0, 0, 0b0000, P)
     assert _column(module, "f1", top) == {}
     assert _column(module_chi, "f1", top) == {0: 1}  # chi(f1)^p = 1
 
 
 def test_act_examples(module):
     assert _column(module, "e2", 0) == {}  # e2 kills v
-    y1v = PBWMonomial((0, 0, 0), (1, 0, 0, 0)).index(P)
+    y1v = encode(0, 0, 0, 0b1000, P)
     assert _column(module, "h2", y1v) == {y1v: (LAM[1] + 1) % P}
-    y4v = PBWMonomial((0, 0, 0), (0, 0, 0, 1)).index(P)
+    y4v = encode(0, 0, 0, 0b0001, P)
     # x1 y4 v = -y4 x1 v + [x1,y4] v = (-(1+a)l1 + l2 + a*l3) v
     expected = (-(1 + ALPHA) * LAM[0] + LAM[1] + ALPHA * LAM[2]) % P
     assert _column(module, "x1", y4v) == {0: expected}
@@ -255,7 +253,7 @@ def test_block_rejects_action_leaving_its_weight_space(alg):
     # [e2, f2] = h2 + f1: e2 f2 v now has an f1 v term of the wrong weight
     broken = VermaModule(alg.with_perturbed_bracket("e2", "f2", "f1", 1), LAM,
                          (0, 0, 0))
-    f2v = PBWMonomial((0, 1, 0), (0, 0, 0, 0)).index(P)
+    f2v = encode(0, 1, 0, 0b0000, P)
     with pytest.raises(ConsistencyError, match="outside the weight"):
         broken.block(E2, broken.weight_of_monomial(f2v))
 
@@ -299,9 +297,9 @@ def test_restrictedness_f_power_matrix(module_chi):
 
 def test_weight_of_monomial_examples(module):
     assert module.weight_of_monomial(0) == LAM
-    f2v = PBWMonomial((0, 1, 0), (0, 0, 0, 0))
+    f2v = encode(0, 1, 0, 0b0000, P)
     assert module.weight_of_monomial(f2v) == (LAM[0], (LAM[1] - 2) % P, LAM[2])
-    full_y = PBWMonomial((0, 0, 0), (1, 1, 1, 1))
+    full_y = encode(0, 0, 0, 0b1111, P)
     assert module.weight_of_monomial(full_y) == (3, 3, 3)
 
 
@@ -311,16 +309,15 @@ def test_every_weight_space_has_dimension_16(module):
     assert all(len(v) == 16 for v in decomposition.values())
     # and the closed-form basis hits exactly those monomials
     for beta, members in list(decomposition.items())[:20]:
-        basis = module.weight_basis(beta)
-        assert sorted(m.index(P) for _, m in basis.entries) == members
+        assert sorted(module.weight_basis(beta)) == members
 
 
 def test_target_weight_basis_examples(module):
     basis = module.weight_basis((0, 0, 0))
-    assert [code for code, _ in basis.entries] == list(range(16))
-    assert dict(basis.entries)[15].i == (4, 4, 4)  # all f-exponents at p-1
+    assert [decode(n, P)[3] for n in basis] == list(range(16))
+    assert decode(basis[15], P)[:3] == (4, 4, 4)  # all f-exponents at p-1
     top = module.weight_basis(LAM)
-    assert dict(top.entries)[0].i == (0, 0, 0)  # the highest weight vector
+    assert decode(top[0], P)[:3] == (0, 0, 0)  # the highest weight vector
 
 
 def test_target_weight_basis_monomials_have_claimed_weight(module):
@@ -329,11 +326,11 @@ def test_target_weight_basis_monomials_have_claimed_weight(module):
     for t in ((2, 0, 0), (0, 3, 0), (1, 1, 4), (4, 4, 4)):
         betas.append(t)
     for beta in betas:
-        entries = module.weight_basis(beta).entries
-        assert len({m.index(P) for _, m in entries}) == 16
-        for code, m in entries:
-            assert m.j == theta_tuple(code)
-            assert module.weight_of_monomial(m) == beta
+        basis = module.weight_basis(beta)
+        assert len(set(basis)) == 16
+        for code, n in enumerate(basis):
+            assert decode(n, P)[3] == code
+            assert module.weight_of_monomial(n) == beta
 
 
 def test_lambda_canonicalized():
