@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .field import is_prime
 
@@ -261,7 +260,7 @@ class SuperAlgebra:
 
 def _mod(m, p: int):
     """m reduced mod p, as a new dense array or CSR matrix."""
-    if not sp.issparse(m):
+    if isinstance(m, np.ndarray):
         return m % p
     m = m.tocsr(copy=True)
     m.data %= p
@@ -305,8 +304,12 @@ def representation_defects(
             for g, c in algebra.bracket_items[a][b]:
                 defect = defect - c * mats[g]
             check((a, b), defect)
-    identity = sp.identity if sp.issparse(mats[0]) else np.eye
-    eye = identity(mats[0].shape[0], dtype=np.int64)
+    if isinstance(mats[0], np.ndarray):
+        eye = np.eye(mats[0].shape[0], dtype=np.int64)
+    else:
+        import scipy.sparse as sp
+
+        eye = sp.identity(mats[0].shape[0], dtype=np.int64)
     for g in range(F3 + 1):
         power = mats[g]
         for _ in range(p - 1):

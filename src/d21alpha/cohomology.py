@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import linalg
 from .algebra import (
@@ -254,6 +253,8 @@ def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
     that are eliminated exactly; its kernel dimension is the derivation-space
     dimension.  Feasible sizes only: refuses p > 7.
     """
+    import scipy.sparse as sp  # only the oracle builds whole-module systems
+
     p = module.p
     if p > 7:
         raise ValueError("ungraded oracle is limited to p <= 7")

@@ -36,7 +36,6 @@ import itertools
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4, Y1, Y2, Y3, Y4,
@@ -138,7 +137,7 @@ class VermaModule:
         # (generator, level, remaining f-exponents, theta code) -> coordinates
         self._crossings: dict[tuple, dict[int, int]] = {}
         self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
-        self._matrices: dict[int, sp.csr_matrix] = {}
+        self._matrices: dict = {}  # generator -> scipy CSR matrix
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -436,8 +435,10 @@ class VermaModule:
 
     # -- materialized matrices -------------------------------------------------
 
-    def action_matrix(self, g: int | str) -> sp.csr_matrix:
+    def action_matrix(self, g: int | str):
         """Sparse matrix of the generator action, assembled from its p^3 blocks."""
+        import scipy.sparse as sp  # only whole-module work builds one
+
         if isinstance(g, str):
             g = GENERATOR_INDEX[g]
         mat = self._matrices.get(g)
@@ -454,7 +455,7 @@ class VermaModule:
             )
         return mat
 
-    def matrices(self) -> list[sp.csr_matrix]:
+    def matrices(self) -> list:
         """All 17 action matrices (building any that are missing)."""
         return [self.action_matrix(g) for g in range(17)]
 

@@ -1,35 +1,25 @@
 """Exact linear algebra over F_p: RREF, rank, kernels, residues.
 
-One elimination kernel, `rref`, serves every caller.  A tall matrix M (more
-than twice as many rows as its sketch height cols + SKETCH_EXTRA) is first
-compressed: C = R·M mod p for a random R of shape (cols + SKETCH_EXTRA) x
-rows over F_p, seeded from the shape, p and the draw number, and formed in
-int64 through a sparse product.  ker C contains ker M, so when M·K = 0 for
-a basis K of ker C the two kernels, hence the two row spaces, hence the two
-RREFs are equal, and RREF(C) is returned (Las Vegas preconditioning:
-Kaltofen and Saunders, "On Wiedemann's method of solving sparse linear
-systems", AAECC 1991).  A failed check redraws R; after MAX_DRAWS draws the
-plain per-pivot elimination runs on M itself.  Kernels are read off the
-RREF (the graded derivation systems); a subspace is its RREF array, and
+One elimination, `rref`, serves every caller.  It reduces its input mod p
+once and then, at each pivot (r, c), updates only the rows that are nonzero
+in column c, and only their columns from c on: a row that is 0 in column c
+does not change, and the pivot row is 0 left of c.  Every update is reduced
+mod p, so every stored entry is < p and every product < p^2, which keeps
+the loop exact in int64 for p < 3·10^9.  Kernels are read off the RREF
+(the graded derivation systems); a subspace is its RREF array, and
 `reduce` takes residues modulo it.  The rank of a sparse system (the
 ungraded oracle) splits it into column-connected components and eliminates
 each component densely.  All arithmetic is integer arithmetic mod p, with
 no floats; results are canonical, so rank and kernel bases do not depend on
-row order or on the sketch.
+row order.
 """
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-
-# sketch height is cols + SKETCH_EXTRA; a matrix is tall, and compressed,
-# when it has more than twice that many rows
-SKETCH_EXTRA = 8
-MAX_DRAWS = 3
 
 
-def _rref_plain(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF by a full-height update per pivot (the fallback and test oracle)."""
+def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
     R = np.array(mat, dtype=np.int64) % p
     rows, cols = R.shape
     pivots: list[int] = []
@@ -43,10 +33,10 @@ def _rref_plain(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        R = (R - np.outer(col, R[r])) % p
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), p - 2, p) % p
+        others = np.nonzero(R[:, c])[0]
+        others = others[others != r]
+        R[others, c:] = (R[others, c:] - np.outer(R[others, c], R[r, c:])) % p
         pivots.append(c)
         r += 1
     return R[: len(pivots)], pivots
@@ -61,27 +51,6 @@ def _kernel_from_rref(
     basis[np.arange(len(free)), free] = 1
     basis[:, np.asarray(pivots, dtype=np.intp)] = (-E[:, free] % p).T
     return basis
-
-
-def _sketch(rows: int, cols: int, p: int, attempt: int) -> np.ndarray:
-    """R transposed: rows x (cols + SKETCH_EXTRA), uniform over F_p."""
-    rng = np.random.default_rng((rows, cols, p, attempt))
-    return rng.integers(0, p, size=(rows, cols + SKETCH_EXTRA), dtype=np.int64)
-
-
-def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
-    rows, cols = np.shape(mat)
-    # compress only while every entry of R·M (< rows·p²) fits in int64
-    if rows > 2 * (cols + SKETCH_EXTRA) and rows * (p - 1) ** 2 < 2**63:
-        sparse = sp.csr_matrix(np.asarray(mat, dtype=np.int64) % p)
-        for attempt in range(MAX_DRAWS):
-            C = (sparse.T @ _sketch(rows, cols, p, attempt)).T
-            E, pivots = _rref_plain(C, p)
-            K = _kernel_from_rref(E, pivots, cols, p)
-            if not (sparse @ K.T % p).any():
-                return E, pivots
-    return _rref_plain(mat, p)
 
 
 def reduce(E: np.ndarray, V, p: int) -> np.ndarray:
@@ -100,6 +69,9 @@ class SparseMatrix:
     """COO matrix over F_p with canonical entries (coalesced, no zeros)."""
 
     def __init__(self, rows: int, cols: int, entries, p: int):
+        # imported here: only whole-module work builds a sparse matrix
+        import scipy.sparse as sp
+
         self.shape = (rows, cols)
         self.p = p
         if entries and isinstance(entries[0], tuple):
@@ -123,7 +95,8 @@ class SparseMatrix:
         Two columns are connected when some row has nonzero entries in both.
         Columns with no entries form singleton components with no rows.
         """
-        # imported here: it pulls in scipy.linalg, which only the oracle needs
+        # imported here: csgraph pulls in scipy.linalg, which only the oracle needs
+        import scipy.sparse as sp
         from scipy.sparse.csgraph import connected_components
 
         nr, nc = self.shape

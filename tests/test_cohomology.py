@@ -185,16 +185,18 @@ def test_full_oracle_refuses_large_p():
         full_derivation_dims(module, 0)
 
 
-@pytest.mark.parametrize("alpha, lam, chi, even, odd", [
-    (2, (2, 3, 3), (0, 0, 0), (1005, 999), (1000, 1000)),
-    (1, (3, 2, 2), (0, 0, 0), (1000, 1000), (1001, 1000)),
-    (3, (1, 2, 0), (0, 1, 0), (1000, 1000), (1000, 1000)),
-], ids=["2-2,3,3", "1-3,2,2", "3-1,2,0-chi"])
-def test_full_oracle_dimensions_are_pinned(alpha, lam, chi, even, odd):
-    """Absolute (dim Der, dim Ider); the oracle check pins only their difference."""
-    module = VermaModule(build_algebra(P, alpha), lam, chi)
+@pytest.mark.parametrize("p, alpha, lam, chi, even, odd", [
+    (5, 2, (2, 3, 3), (0, 0, 0), (1005, 999), (1000, 1000)),
+    (5, 1, (3, 2, 2), (0, 0, 0), (1000, 1000), (1001, 1000)),
+    (5, 3, (1, 2, 0), (0, 1, 0), (1000, 1000), (1000, 1000)),
+    (7, 3, (2, 5, 5), (0, 0, 0), (2749, 2743), (2744, 2744)),
+], ids=["2-2,3,3", "1-3,2,2", "3-1,2,0-chi", "p7-3-2,5,5"])
+def test_full_oracle_dimensions_are_pinned(p, alpha, lam, chi, even, odd):
+    """Absolute (dim Der, dim Ider), and their differences are the graded H^1."""
+    module = VermaModule(build_algebra(p, alpha), lam, chi)
     assert full_derivation_dims(module, 0) == even
     assert full_derivation_dims(module, 1) == odd
+    assert h1(module).sdim == (even[0] - even[1], odd[0] - odd[1])
 
 
 def test_full_oracle_refuses_an_action_off_the_parity_grading(alg, monkeypatch):

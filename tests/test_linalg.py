@@ -171,51 +171,70 @@ def test_column_components_structure():
     assert groups == [(0, 2), (1,), (3,), (4,), (5,)]
 
 
-def _recording_sketch(monkeypatch, zero_attempts=()):
-    """Record every sketch draw; draws in zero_attempts lose all rank."""
-    draws = []
-    real = linalg._sketch
-
-    def sketch(rows, cols, p, attempt):
-        draws.append(attempt)
-        R = real(rows, cols, p, attempt)
-        return R * 0 if attempt in zero_attempts else R
-
-    monkeypatch.setattr(linalg, "_sketch", sketch)
-    return draws
+def _rref_reference(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF by a full-height update per pivot, the slow oracle for `rref`."""
+    R = np.array(mat, dtype=np.int64) % p
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if len(nz) == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = R[r] * pow(int(R[r, c]), p - 2, p) % p
+        col = R[:, c].copy()
+        col[r] = 0
+        R = (R - np.outer(col, R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R[: len(pivots)], pivots
 
 
 def _same_rref(mat, p):
     E, piv = rref(mat, p)
-    E0, piv0 = linalg._rref_plain(mat, p)
+    E0, piv0 = _rref_reference(mat, p)
     return piv == piv0 and E.shape == E0.shape and (E == E0).all()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    p=st.sampled_from([5, 7, 31]),
-    cols=st.integers(1, 14),
-    extra_rows=st.integers(1, 60),
+    p=st.sampled_from([5, 7, 31, 101]),
+    shape=st.sampled_from(["tall", "square", "wide"]),
+    cols=st.integers(1, 30),
+    extra=st.integers(0, 60),
     rank_kind=st.sampled_from(["zero", "deficient", "full"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compressed_rref_equals_plain_on_tall_matrices(
-    p, cols, extra_rows, rank_kind, seed
-):
+def test_rref_equals_the_reference(p, shape, cols, extra, rank_kind, seed):
     rng = np.random.default_rng(seed)
-    rows = 2 * (cols + linalg.SKETCH_EXTRA) + extra_rows
-    r = {"zero": 0, "deficient": int(rng.integers(0, cols)), "full": cols}[rank_kind]
+    rows = {"tall": cols + 1 + extra, "square": cols,
+            "wide": 1 + extra % max(cols - 1, 1)}[shape]
+    k = min(rows, cols)
+    r = {"zero": 0, "deficient": int(rng.integers(0, k)), "full": k}[rank_kind]
     mat = rng.integers(0, p, size=(rows, r)) @ rng.integers(0, p, size=(r, cols)) % p
     # sparsify the rows, as the derivation systems are sparse
     mat[rng.random(rows) < 0.3] = 0
     if rank_kind == "full":
-        mat[:cols] = np.eye(cols, dtype=np.int64)
-    with pytest.MonkeyPatch.context() as mp:
-        draws = _recording_sketch(mp)
-        assert _same_rref(mat, p)
-    assert draws, "a tall matrix must take the compressed path"
+        mat[:k, :k] = np.eye(k, dtype=np.int64)
+    # entries outside [0, p) are reduced first
+    mat += p * rng.integers(-2, 3, size=mat.shape)
+    assert _same_rref(mat, p)
     if rank_kind == "full":
-        assert rref(mat, p)[1] == list(range(cols))
+        assert rref(mat, p)[1] == list(range(k))
+
+
+@pytest.mark.parametrize("p, seed", [(7, 11), (5, 13)])
+def test_rref_equals_the_reference_on_rank_20_matrices(p, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, p, size=(120, 20)) @ rng.integers(0, p, size=(20, 30)) % p
+    assert _same_rref(mat, p)
+    assert len(rref(mat, p)[1]) == 20
+    assert len(kernel_basis(mat, p)) == 10
 
 
 @pytest.mark.parametrize("p, alpha, lam, chi", [
@@ -224,50 +243,31 @@ def test_compressed_rref_equals_plain_on_tall_matrices(
     (13, 2, (1, 2, 3), (1, 0, 0)),
     (31, 5, (1, 2, 3), (0, 0, 0)),
 ])
-def test_compressed_rref_equals_plain_on_graded_systems(monkeypatch, p, alpha, lam, chi):
-    draws = _recording_sketch(monkeypatch)
+def test_rref_equals_the_reference_on_graded_systems(p, alpha, lam, chi):
     module = VermaModule(build_algebra(p, alpha), lam, chi)
     for parity in (0, 1):
         system = GradedLayout(module, parity).equations()
-        assert system.shape[0] > 2 * (system.shape[1] + linalg.SKETCH_EXTRA)
         assert _same_rref(system, p)
-        E0, piv0 = linalg._rref_plain(system, p)
-        plain_kernel = rref(
+        E0, piv0 = _rref_reference(system, p)
+        reference_kernel = rref(
             linalg._kernel_from_rref(E0, piv0, system.shape[1], p), p
         )[0]
-        assert np.array_equal(kernel_basis(system, p), plain_kernel)
-        assert not (system @ plain_kernel.T % p).any()
-    assert draws
+        assert np.array_equal(kernel_basis(system, p), reference_kernel)
+        assert not (system @ reference_kernel.T % p).any()
 
 
-def test_rank_losing_sketch_is_redrawn(monkeypatch):
-    rng = np.random.default_rng(11)
-    p = 7
-    mat = rng.integers(0, p, size=(120, 20)) @ rng.integers(0, p, size=(20, 30)) % p
-    draws = _recording_sketch(monkeypatch, zero_attempts={0})
-    assert _same_rref(mat, p)
-    assert draws == [0, 1]
-
-
-def test_rank_losing_sketch_falls_back_to_plain_elimination(monkeypatch):
-    rng = np.random.default_rng(13)
-    p = 5
-    mat = rng.integers(0, p, size=(120, 20)) @ rng.integers(0, p, size=(20, 30)) % p
-    expected = linalg._rref_plain(mat, p)
-    draws = _recording_sketch(monkeypatch, zero_attempts=set(range(linalg.MAX_DRAWS)))
-    E, piv = rref(mat, p)
-    assert draws == list(range(linalg.MAX_DRAWS))
-    assert piv == expected[1] and len(piv) == 20
-    assert (E == expected[0]).all()
-    assert len(kernel_basis(mat, p)) == 10
-
-
-def test_no_compression_when_the_sketch_product_could_overflow(monkeypatch):
-    p = 2**31 - 1  # rows * (p - 1)^2 exceeds int64 for any tall matrix here
+# 2^31 - 1, and the largest prime p with (p - 1)^2 < 2^63: every product of
+# two reduced entries still fits in int64
+@pytest.mark.parametrize("p", [2**31 - 1, 3037000493])
+def test_rref_is_exact_at_the_largest_p(p):
     mat = np.zeros((40, 3), dtype=np.int64)
     mat[:3] = [[1, 2, 3], [2, 4, 6], [0, 0, p - 1]]
-    draws = _recording_sketch(monkeypatch)
     E, piv = rref(mat, p)
-    assert draws == []
     assert piv == [0, 2]
     assert E.tolist() == [[1, 2, 0], [0, 0, 1]]
+    # a random wide matrix, checked in exact Python integers
+    rng = np.random.default_rng(7)
+    mat = rng.integers(0, p, size=(6, 9))
+    ker = kernel_basis(mat, p)
+    assert len(ker) == 3
+    assert not (mat.astype(object) @ ker.T.astype(object) % p).any()
