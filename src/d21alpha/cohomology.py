@@ -17,6 +17,7 @@ dim Der - dim Ider against the graded quotient.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,8 @@ from .algebra import (
 )
 # ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
-    J1_CODES, J3_CODES, ConsistencyError, VermaModule, decode, monomial_parity,
+    J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule, decode,
+    monomial_parity,
 )
 
 # the theta codes of each monomial parity, and each code's slot among them
@@ -519,11 +521,23 @@ class PointSummary:
     dim_odd: int
 
 
+@functools.lru_cache(maxsize=1)
+def point_slice(p: int, alpha: int, chi: tuple[int, int, int]) -> ActionSlice:
+    """The action slice of (p, alpha, chi), residues; one slot per process."""
+    return ActionSlice(build_algebra(p, alpha), chi)
+
+
 def compute_point(p: int, alpha: int, lam, chi) -> PointSummary:
-    """Graded H^1 at one parameter point (process-pool friendly)."""
-    module = VermaModule(build_algebra(p, alpha), lam, chi)
-    result = h1(module)
+    """Graded H^1 at one parameter point (process-pool friendly).
+
+    The module reads its action columns from the slice of (p, alpha mod p,
+    chi mod p), kept in one slot per process (``point_slice``): a scan's
+    tasks are alpha-major and a worker takes them in consecutive chunks, so
+    consecutive points share a slice, and one slot bounds memory by one
+    slice.  A point of a new slice replaces it and pays the fill.
+    """
+    alpha, chi = alpha % p, tuple(c % p for c in chi)
+    result = h1(point_slice(p, alpha, chi).module(lam))
     return PointSummary(
-        p, alpha % p, tuple(v % p for v in lam), tuple(c % p for c in chi),
-        result.dim_even, result.dim_odd,
+        p, alpha, tuple(v % p for v in lam), chi, result.dim_even, result.dim_odd,
     )

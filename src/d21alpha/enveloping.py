@@ -29,6 +29,22 @@ the same at every p.
 Every weight space holds exactly one monomial per theta code, so a generator
 acts as one 16x16 block per weight (``VermaModule.block``); every consumer of
 the action reads these blocks.
+
+For a fixed generator g and index n, the column g * n is affine in lambda:
+
+    g * n = c0 + lambda_1 c1 + lambda_2 c2 + lambda_3 c3   (mod p)
+
+with (c0, c1, c2, c3) independent of lambda.  Crossing the f-segment uses
+binomials, brackets and chi wraps that depend on n alone; lambda enters only
+when a term's y-tail g' y^theta v is reduced, where an h_k that reaches v
+gives lambda_k.  In that reduction every letter but one is a negative root
+vector (a y or an f): the bracket of two negative root vectors is one or 0,
+and a bracket with the one other letter (g', or the letter that replaced it)
+replaces that letter.  So a word holds at most one h, and each term picks up
+at most one lambda_k.  ``ActionSlice`` keeps these affine columns for every
+module of one (algebra, chi); tests/test_enveloping.py::
+test_slice_blocks_match_straightening compares the blocks of modules made
+from a slice with those of directly built, straightening modules.
 """
 from __future__ import annotations
 
@@ -115,6 +131,35 @@ Y_WORDS = tuple(
 DERIVED_GENS = {X3: (E3, X4), X2: (E2, X4), X1: (E2, X3), E1: (X1, X4)}
 
 
+def _crossing_terms(cache: dict, algebra: SuperAlgebra, g: int, k: int, i: int):
+    """The terms of g f^i = sum_j C(i, j) f^(i-j) D^j(g), with f = f_{k+1}.
+
+    D(x) = [x, f]; returns ((i - j, ((h, C(i, j) * coefficient of h in
+    D^j(g)), ...)), ...), memoized in ``cache`` under (g, k, i).  ad f is
+    nilpotent (ad f^3 = 0), so there are at most three terms, whatever i and
+    p are.
+    """
+    out = cache.get((g, k, i))
+    if out is not None:
+        return out
+    p, f = algebra.p, F1 + k
+    brackets = algebra.bracket_items
+    terms = []
+    term = {g: 1}  # D^j(g) as {generator: coefficient}
+    for j in range(i + 1):
+        scale = comb(i, j) % p
+        terms.append((i - j, tuple((h, c * scale % p) for h, c in term.items())))
+        nxt: dict[int, int] = {}
+        for h, c in term.items():
+            for h2, co in brackets[h][f]:
+                nxt[h2] = (nxt.get(h2, 0) + c * co) % p
+        term = {h: c for h, c in nxt.items() if c}
+        if not term:
+            break
+    out = cache[g, k, i] = tuple(terms)
+    return out
+
+
 class VermaModule:
     """A baby Verma module with lazily materialized generator actions.
 
@@ -123,19 +168,25 @@ class VermaModule:
     cached; full sparse matrices are assembled from blocks only when
     requested, so weight-graded computations touching a few weight spaces
     stay cheap.
+
+    A module built directly straightens its own action columns.  One made by
+    ``ActionSlice.module`` reads them off its slice at its own lambda; the
+    directly built module is the oracle it is tested against.
     """
 
-    def __init__(self, algebra: SuperAlgebra, lam, chi):
+    def __init__(self, algebra: SuperAlgebra, lam, chi, action_slice=None):
         p = algebra.p
         self.algebra = algebra
         self.p = p
         self.lam = tuple(v % p for v in lam)
         self.chi = tuple(c % p for c in chi)
+        self.slice: ActionSlice | None = action_slice
         self.dim = 16 * p**3
         self.inv2 = pow(2, p - 2, p)
         self._blocks: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
         # (generator, level, remaining f-exponents, theta code) -> coordinates
         self._crossings: dict[tuple, dict[int, int]] = {}
+        self._terms: dict[tuple[int, int, int], tuple] = {}  # _crossing_terms
         self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict = {}  # generator -> scipy CSR matrix
 
@@ -320,19 +371,32 @@ class VermaModule:
     # -- generator action ----------------------------------------------------
 
     def column(self, g: int, n: int) -> dict[int, int]:
-        """Coordinates of g * (basis monomial n), by straightening."""
-        i1, i2, i3, code = decode(n, self.p)
-        return self._cross(g, 0, (i1, i2, i3), code)
+        """Coordinates of g * (basis monomial n).
+
+        Straightened, or, for a module made by a slice, the slice's affine
+        column evaluated at this module's lambda.
+        """
+        if self.slice is None:
+            i1, i2, i3, code = decode(n, self.p)
+            return self._cross(g, 0, (i1, i2, i3), code)
+        p = self.p
+        l1, l2, l3 = self.lam
+        out = {}
+        it = iter(self.slice.column(g, n))
+        for m, c0, c1, c2, c3 in zip(it, it, it, it, it):
+            v = (c0 + l1 * c1 + l2 * c2 + l3 * c3) % p
+            if v:
+                out[m] = v
+        return out
 
     def _cross(self, g: int, k: int, exps, code: int) -> dict[int, int]:
         """Coordinates of g * f_{k+1}^exps[0] ... f_3^exps[-1] y^code v.
 
-        Crosses f = f_{k+1} to the power i = exps[0] in one step,
-        g f^i = sum_j C(i, j) f^(i-j) D^j(g) with D(x) = [x, f], and recurses
-        on each generator of D^j(g).  Multiplying by f^(i-j) on the left only
-        raises the k-th exponent (the f's commute), wrapping f^p to chi(f).
-        The inner levels are cached per module; the top level (k = 0) is one
-        key per column and is not.
+        Crosses f = f_{k+1} to the power i = exps[0] in one step
+        (``_crossing_terms``) and recurses on each generator of D^j(g).
+        Multiplying by f^(i-j) on the left only raises the k-th exponent (the
+        f's commute), wrapping f^p to chi(f).  The inner levels are cached per
+        module; the top level (k = 0) is one key per column and is not.
         """
         if k:
             key = (g, k, exps, code)
@@ -342,17 +406,12 @@ class VermaModule:
         if not exps:  # only the y-tail is left: at most five letters
             out = self._crossings[key] = self._normal_form_raw([g, *Y_WORDS[code]])
             return out
-        p, chi_k, f = self.p, self.chi[k], F1 + k
-        brackets = self.algebra.bracket_items
+        p, chi_k = self.p, self.chi[k]
         i, rest = exps[0], exps[1:]
         stride = 16 * p ** len(rest)  # index step of the k-th exponent
         acc: dict[int, int] = {}
-        term = {g: 1}  # D^j(g) as {generator: coefficient}
-        for j in range(i + 1):
-            shift = i - j
-            scale = comb(i, j) % p
-            for h, c in term.items():
-                c = c * scale % p
+        for shift, term in _crossing_terms(self._terms, self.algebra, g, k, i):
+            for h, c in term:
                 for n, v in self._cross(h, k + 1, rest, code).items():
                     v = v * c
                     # an exponent below p plus a shift below p wraps at most once
@@ -361,13 +420,6 @@ class VermaModule:
                         n -= p * stride
                     n += shift * stride
                     acc[n] = (acc.get(n, 0) + v) % p
-            nxt: dict[int, int] = {}
-            for h, c in term.items():
-                for h2, co in brackets[h][f]:
-                    nxt[h2] = (nxt.get(h2, 0) + c * co) % p
-            term = {h: c for h, c in nxt.items() if c}
-            if not term:  # ad f is nilpotent: at most three terms
-                break
         out = {n: v for n, v in acc.items() if v}
         if k:
             self._crossings[key] = out
@@ -466,6 +518,101 @@ class VermaModule:
             np.arange(self.dim, dtype=np.int64), self.lam, p
         )
         return (b1 * p + b2) * p + b3
+
+
+class ActionSlice:
+    """The affine action columns of every module with one (algebra, chi).
+
+    Straightens each y-tail at lambda = 0, e1, e2, e3 and takes differences,
+    then carries the four coefficients through the crossing recursion of
+    ``VermaModule._cross``.  ``column`` fills on first request and memoizes;
+    ``module(lam)`` makes a ``VermaModule`` that reads its columns from here.
+
+    Memory grows with the columns requested, never with 16 p^3: a filled
+    column, and each inner level of its recursion, is one flat int tuple
+    (m, c0, c1, c2, c3, m', ...).  Measured with tracemalloc, a full p=5
+    slice (the 14,000 straightened columns of all 125 lambda) holds 4.6 MB
+    and a full p=7 slice 12.5 MB; at p=31 and p=101 a point adds about
+    1.3 MB, since its columns rarely recur at the next lambda.
+    """
+
+    def __init__(self, algebra: SuperAlgebra, chi):
+        self.algebra = algebra
+        self.p = algebra.p
+        self.chi = tuple(c % self.p for c in chi)
+        # modules at lambda = 0, e1, e2, e3, which straighten the y-tails
+        self._references = tuple(
+            VermaModule(algebra, lam, chi)
+            for lam in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+        )
+        # (generator, index) -> flat column, and the inner levels of the
+        # recursion: (generator, level, remaining f-exponents, theta code)
+        self._columns: dict[tuple, tuple[int, ...]] = {}
+        self._terms: dict[tuple[int, int, int], tuple] = {}  # _crossing_terms
+
+    def module(self, lam) -> VermaModule:
+        """The module with this slice's algebra and chi at highest weight lam."""
+        return VermaModule(self.algebra, lam, self.chi, self)
+
+    def column(self, g: int, n: int) -> tuple[int, ...]:
+        """The affine column of g * n, flat: (m, c0, c1, c2, c3, m', ...)."""
+        out = self._columns.get((g, n))
+        if out is None:
+            i1, i2, i3, code = decode(n, self.p)
+            out = self._columns[g, n] = self._cross(g, 0, (i1, i2, i3), code)
+        return out
+
+    def _tail(self, g: int, code: int) -> tuple[int, ...]:
+        """The affine coordinates of g y^code v."""
+        word = [g, *Y_WORDS[code]]
+        base, *units = (m._normal_form_raw(word) for m in self._references)
+        p = self.p
+        flat: list[int] = []
+        for n in set(base).union(*units):
+            c0 = base.get(n, 0)
+            flat += [n, c0, *((u.get(n, 0) - c0) % p for u in units)]
+        return tuple(flat)
+
+    def _cross(self, g: int, k: int, exps, code: int) -> tuple[int, ...]:
+        """``VermaModule._cross`` on affine coefficients; caches the inner levels."""
+        if k:
+            key = (g, k, exps, code)
+            out = self._columns.get(key)
+            if out is not None:
+                return out
+        if not exps:
+            out = self._columns[key] = self._tail(g, code)
+            return out
+        p, chi_k = self.p, self.chi[k]
+        i, rest = exps[0], exps[1:]
+        stride = 16 * p ** len(rest)
+        acc: dict[int, list[int]] = {}
+        for shift, term in _crossing_terms(self._terms, self.algebra, g, k, i):
+            for h, c in term:
+                it = iter(self._cross(h, k + 1, rest, code))
+                for n, c0, c1, c2, c3 in zip(it, it, it, it, it):
+                    v = c
+                    if n // stride % p + shift >= p:
+                        v *= chi_k
+                        n -= p * stride
+                    n += shift * stride
+                    a = acc.get(n)
+                    if a is None:
+                        acc[n] = [v * c0, v * c1, v * c2, v * c3]
+                    else:
+                        a[0] += v * c0
+                        a[1] += v * c1
+                        a[2] += v * c2
+                        a[3] += v * c3
+        flat: list[int] = []
+        for n, a in acc.items():
+            a = [x % p for x in a]
+            if any(a):
+                flat += [n, *a]
+        out = tuple(flat)
+        if k:
+            self._columns[key] = out
+        return out
 
 
 def verify_module_axioms(p: int, alpha: int, lam, chi) -> list[str]:

@@ -300,6 +300,17 @@ def test_divergent_straightening_is_an_inconsistency(monkeypatch, capsys):
     assert "straightening exceeded 1 rewrite steps" in err
 
 
+def test_divergent_straightening_in_a_scan_names_its_point(monkeypatch, capsys):
+    """The rewrite-step guard also holds while compute_point fills its slice."""
+    monkeypatch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
+    code, out, err = run(capsys, "scan", "--p", "5", "--alpha", "2",
+                         "--lambda", "2,3,3", "--jobs", "1")
+    assert code == 2
+    assert out == ""
+    assert ("p=5 alpha=2 lambda=(2, 3, 3) chi=(0, 0, 0): straightening "
+            "exceeded 1 rewrite steps") in err
+
+
 def test_verma_dump(capsys):
     code, out, _ = run(capsys, "verma", "--p", "5", "--alpha", "2",
                        "--lambda", "2,3,3")

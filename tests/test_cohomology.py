@@ -15,7 +15,8 @@ from d21alpha.cohomology import (
     h1, psi, psi_lambda,
 )
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, THETA_BITS, VermaModule, decode, monomial_parity,
+    J1_CODES, J3_CODES, THETA_BITS, ActionSlice, VermaModule, decode,
+    monomial_parity,
 )
 
 P = 5
@@ -279,6 +280,42 @@ def test_compute_point_summary_is_picklable():
     s = compute_point(P, ALPHA, (2, 3, 0), (0, 0, 0))
     assert (s.dim_even, s.dim_odd) == (1, 0)
     assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_slice_module_h1_matches_straightening(alg):
+    """h1 of slice-made modules: sdim, graded dims and representatives."""
+    action = ActionSlice(alg, (0, 0, 0))
+    for lam in ((2, 3, 3), (2, 3, 0), (2, 0, 3), (3, 2, 2), (0, 0, 0), (1, 4, 2)):
+        made = h1(action.module(lam))
+        direct = h1(VermaModule(alg, lam, (0, 0, 0)))
+        assert made.sdim == direct.sdim, lam
+        assert made.graded_dims == direct.graded_dims, lam
+        assert made.to_json_dict() == direct.to_json_dict(), lam
+        for a, b in zip(made.representatives, direct.representatives, strict=True):
+            assert a.parity == b.parity and (a.coords == b.coords).all(), lam
+
+
+def test_compute_point_across_interleaved_slices():
+    """Alternating alpha and chi replace the cached slice, never reuse it."""
+    rng = random.Random(11)
+    for k in range(8):
+        alpha = 1 + k % 2
+        chi = (0, 0, 0) if k % 4 < 2 else (1, 0, 3)
+        lam = tuple(rng.randrange(P) for _ in range(3))
+        if k == 0:
+            lam = (2, 3, 3)  # a nonzero point, so that a mix-up shows
+        s = compute_point(P, alpha, lam, chi)
+        fresh = h1(VermaModule(build_algebra(P, alpha), lam, chi))
+        assert (s.dim_even, s.dim_odd) == fresh.sdim, (alpha, lam, chi)
+
+
+def test_compute_point_reduces_before_it_caches():
+    first = compute_point(P, ALPHA, (2, 3, 0), (1, 0, 0))
+    again = compute_point(P, ALPHA + P, (7, -2, 5), (1 + P, 0, 0))
+    info = cohomology.point_slice.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first == again
+    assert again.alpha == ALPHA and again.chi_f == (1, 0, 0)
 
 
 def _defects_by_pairs(phi, module):

@@ -10,7 +10,7 @@ from d21alpha.algebra import (
     generator_weight, representation_defects,
 )
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, ConsistencyError, VermaModule,
+    J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule,
     decode, encode, monomial_parity, monomial_weight, theta_tuple,
     verify_module_axioms,
 )
@@ -247,6 +247,36 @@ def test_blocks_do_not_depend_on_request_order():
     rng.shuffle(shuffled)
     for key in shuffled:
         assert (second.block(*key) == got[key]).all(), key
+
+
+@pytest.mark.parametrize("p,alpha,chi,sample", [
+    (5, 2, (0, 0, 0), None),  # every lambda of the slice
+    (5, 3, (1, 2, 4), 12),
+    (7, 3, (2, 0, 5), 12),
+])
+def test_slice_blocks_match_straightening(p, alpha, chi, sample):
+    """A slice-made module's blocks equal those of a directly built one.
+
+    Every block(g, weights[u]) that the derivation identity reads; at
+    sampled lambda also blocks at random weights, so that columns of other
+    f-exponents are evaluated.
+    """
+    alg = build_algebra(p, alpha)
+    action = ActionSlice(alg, chi)
+    lambdas = list(itertools.product(range(p), repeat=3))
+    rng = random.Random(p)
+    if sample:
+        lambdas = rng.sample(lambdas, sample)
+    for lam in lambdas:
+        made, direct = action.module(lam), VermaModule(alg, lam, chi)
+        betas = list(alg.weights)
+        if sample:
+            betas += [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
+        for g in range(17):
+            for beta in betas:
+                assert (made.block(g, beta) == direct.block(g, beta)).all(), (
+                    lam, g, beta
+                )
 
 
 def test_block_rejects_action_leaving_its_weight_space(alg):
