@@ -17,6 +17,7 @@ e_i, f_i -> 0 on the even part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class AxiomViolation:
 class SuperAlgebra:
     """D(2,1;alpha) with its bracket tensor, weights and p-mapping.
 
-    Immutable after construction; safe to share across threads/processes.
+    Immutable after construction (``crossing_terms`` only memoizes); safe to
+    share across threads/processes.
     """
 
     def __init__(self, p: int, alpha: int):
@@ -80,6 +82,7 @@ class SuperAlgebra:
         )
         # bracket[a][b] = tuple of (generator, coefficient) pairs, canonical mod p
         self.bracket_items = self._build_bracket_table()
+        self._crossing_terms: dict[tuple[int, int, int], tuple] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -152,6 +155,33 @@ class SuperAlgebra:
             for out, c in self.bracket_items[g][b]:
                 m[out, b] = c
         return m
+
+    def crossing_terms(self, g: int, k: int, i: int) -> tuple:
+        """The terms of g f^i = sum_j C(i, j) f^(i-j) D^j(g), with f = f_{k+1}.
+
+        D(x) = [x, f]; returns ((i - j, ((h, C(i, j) * coefficient of h in
+        D^j(g)), ...)), ...), memoized per algebra under (g, k, i).  ad f is
+        nilpotent (ad f^3 = 0), so there are at most three terms, whatever i
+        and p are.
+        """
+        out = self._crossing_terms.get((g, k, i))
+        if out is not None:
+            return out
+        p, f = self.p, F1 + k
+        terms = []
+        term = {g: 1}  # D^j(g) as {generator: coefficient}
+        for j in range(i + 1):
+            scale = comb(i, j) % p
+            terms.append((i - j, tuple((h, c * scale % p) for h, c in term.items())))
+            nxt: dict[int, int] = {}
+            for h, c in term.items():
+                for h2, co in self.bracket_items[h][f]:
+                    nxt[h2] = (nxt.get(h2, 0) + c * co) % p
+            term = {h: c for h, c in nxt.items() if c}
+            if not term:
+                break
+        out = self._crossing_terms[g, k, i] = tuple(terms)
+        return out
 
     # -- validation ---------------------------------------------------------
 

@@ -17,7 +17,6 @@ dim Der - dim Ider against the graded quotient.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -521,23 +520,54 @@ class PointSummary:
     dim_odd: int
 
 
-@functools.lru_cache(maxsize=1)
-def point_slice(p: int, alpha: int, chi: tuple[int, int, int]) -> ActionSlice:
-    """The action slice of (p, alpha, chi), residues; one slot per process."""
-    return ActionSlice(build_algebra(p, alpha), chi)
+# The largest p at which compute_point reads its columns from a slice.  The
+# slice pays when a point's columns recur across the lambda of its slice: over
+# consecutive lambda (scan order) 97% of a point's column requests recur at
+# p=5 and 96% at p=7, and a full slice holds 4.6 and 12.5 MB.  At p=31 45%
+# recur: a slice point gains about 10% over a long scan, but the memo grows
+# by about 0.4 MB a point toward the 17 * 16 p^3 columns of a full slice (8M);
+# at p=101 35% recur, and a slice point is slower than straightening.
+SLICE_MAX_P = 7
+
+
+class _PointSlot:
+    """The (p, alpha, chi) of the last point in this process, and its slice."""
+
+    key: tuple | None = None
+    action: ActionSlice | None = None
+
+
+_POINT_SLOT = _PointSlot()
+
+
+def point_module(p: int, alpha: int, lam, chi) -> VermaModule:
+    """The module compute_point works on; alpha and chi are residues.
+
+    The first point of a (p, alpha, chi) straightens its own columns and
+    only claims the slot, so a one-point scan pays no fill.  A second
+    consecutive point of it at p <= SLICE_MAX_P builds the slot's slice, and
+    every later point reads its columns from there.  A scan's tasks are
+    alpha-major and a worker takes them in consecutive chunks, so
+    consecutive points share a slice, and one slot per process bounds memory
+    by one slice (12.5 MB at p=7).  A point of another slice drops it.
+    """
+    key, slot = (p, alpha, chi), _POINT_SLOT
+    if slot.key == key and p <= SLICE_MAX_P:
+        if slot.action is None:
+            slot.action = ActionSlice(build_algebra(p, alpha), chi)
+        return slot.action.module(lam)
+    slot.key, slot.action = key, None
+    return VermaModule(build_algebra(p, alpha), lam, chi)
 
 
 def compute_point(p: int, alpha: int, lam, chi) -> PointSummary:
     """Graded H^1 at one parameter point (process-pool friendly).
 
-    The module reads its action columns from the slice of (p, alpha mod p,
-    chi mod p), kept in one slot per process (``point_slice``): a scan's
-    tasks are alpha-major and a worker takes them in consecutive chunks, so
-    consecutive points share a slice, and one slot bounds memory by one
-    slice.  A point of a new slice replaces it and pays the fill.
+    Reads its module from ``point_module``, which shares the action columns
+    of consecutive points of one (p, alpha mod p, chi mod p) at p <= 7.
     """
     alpha, chi = alpha % p, tuple(c % p for c in chi)
-    result = h1(point_slice(p, alpha, chi).module(lam))
+    result = h1(point_module(p, alpha, lam, chi))
     return PointSummary(
         p, alpha, tuple(v % p for v in lam), chi, result.dim_even, result.dim_odd,
     )

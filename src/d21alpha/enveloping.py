@@ -49,7 +49,6 @@ from a slice with those of directly built, straightening modules.
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 import numpy as np
 
@@ -131,35 +130,6 @@ Y_WORDS = tuple(
 DERIVED_GENS = {X3: (E3, X4), X2: (E2, X4), X1: (E2, X3), E1: (X1, X4)}
 
 
-def _crossing_terms(cache: dict, algebra: SuperAlgebra, g: int, k: int, i: int):
-    """The terms of g f^i = sum_j C(i, j) f^(i-j) D^j(g), with f = f_{k+1}.
-
-    D(x) = [x, f]; returns ((i - j, ((h, C(i, j) * coefficient of h in
-    D^j(g)), ...)), ...), memoized in ``cache`` under (g, k, i).  ad f is
-    nilpotent (ad f^3 = 0), so there are at most three terms, whatever i and
-    p are.
-    """
-    out = cache.get((g, k, i))
-    if out is not None:
-        return out
-    p, f = algebra.p, F1 + k
-    brackets = algebra.bracket_items
-    terms = []
-    term = {g: 1}  # D^j(g) as {generator: coefficient}
-    for j in range(i + 1):
-        scale = comb(i, j) % p
-        terms.append((i - j, tuple((h, c * scale % p) for h, c in term.items())))
-        nxt: dict[int, int] = {}
-        for h, c in term.items():
-            for h2, co in brackets[h][f]:
-                nxt[h2] = (nxt.get(h2, 0) + c * co) % p
-        term = {h: c for h, c in nxt.items() if c}
-        if not term:
-            break
-    out = cache[g, k, i] = tuple(terms)
-    return out
-
-
 class VermaModule:
     """A baby Verma module with lazily materialized generator actions.
 
@@ -186,7 +156,6 @@ class VermaModule:
         self._blocks: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
         # (generator, level, remaining f-exponents, theta code) -> coordinates
         self._crossings: dict[tuple, dict[int, int]] = {}
-        self._terms: dict[tuple[int, int, int], tuple] = {}  # _crossing_terms
         self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict = {}  # generator -> scipy CSR matrix
 
@@ -393,10 +362,11 @@ class VermaModule:
         """Coordinates of g * f_{k+1}^exps[0] ... f_3^exps[-1] y^code v.
 
         Crosses f = f_{k+1} to the power i = exps[0] in one step
-        (``_crossing_terms``) and recurses on each generator of D^j(g).
-        Multiplying by f^(i-j) on the left only raises the k-th exponent (the
-        f's commute), wrapping f^p to chi(f).  The inner levels are cached per
-        module; the top level (k = 0) is one key per column and is not.
+        (``SuperAlgebra.crossing_terms``) and recurses on each generator of
+        D^j(g).  Multiplying by f^(i-j) on the left only raises the k-th
+        exponent (the f's commute), wrapping f^p to chi(f).  The inner levels
+        are cached per module; the top level (k = 0) is one key per column
+        and is not.
         """
         if k:
             key = (g, k, exps, code)
@@ -410,7 +380,7 @@ class VermaModule:
         i, rest = exps[0], exps[1:]
         stride = 16 * p ** len(rest)  # index step of the k-th exponent
         acc: dict[int, int] = {}
-        for shift, term in _crossing_terms(self._terms, self.algebra, g, k, i):
+        for shift, term in self.algebra.crossing_terms(g, k, i):
             for h, c in term:
                 for n, v in self._cross(h, k + 1, rest, code).items():
                     v = v * c
@@ -528,12 +498,14 @@ class ActionSlice:
     ``VermaModule._cross``.  ``column`` fills on first request and memoizes;
     ``module(lam)`` makes a ``VermaModule`` that reads its columns from here.
 
-    Memory grows with the columns requested, never with 16 p^3: a filled
-    column, and each inner level of its recursion, is one flat int tuple
-    (m, c0, c1, c2, c3, m', ...).  Measured with tracemalloc, a full p=5
-    slice (the 14,000 straightened columns of all 125 lambda) holds 4.6 MB
-    and a full p=7 slice 12.5 MB; at p=31 and p=101 a point adds about
-    1.3 MB, since its columns rarely recur at the next lambda.
+    Memory grows with the columns requested, up to the 17 * 16 p^3 of a
+    full slice; no slot is allocated ahead.  A filled column, and each inner
+    level of its recursion, is one flat int tuple (m, c0, c1, c2, c3, m',
+    ...).  Measured with tracemalloc, a full p=5 slice (the 14,000 columns
+    that h1 reads over all 125 lambda) holds 4.6 MB and a full p=7 slice
+    12.5 MB; at p=31 and p=101 a point adds 0.4 to 1.3 MB, and a full
+    p=31 slice would hold some 8M columns, which is why ``compute_point``
+    keeps slices to p <= 7.
     """
 
     def __init__(self, algebra: SuperAlgebra, chi):
@@ -548,7 +520,6 @@ class ActionSlice:
         # (generator, index) -> flat column, and the inner levels of the
         # recursion: (generator, level, remaining f-exponents, theta code)
         self._columns: dict[tuple, tuple[int, ...]] = {}
-        self._terms: dict[tuple[int, int, int], tuple] = {}  # _crossing_terms
 
     def module(self, lam) -> VermaModule:
         """The module with this slice's algebra and chi at highest weight lam."""
@@ -587,7 +558,7 @@ class ActionSlice:
         i, rest = exps[0], exps[1:]
         stride = 16 * p ** len(rest)
         acc: dict[int, list[int]] = {}
-        for shift, term in _crossing_terms(self._terms, self.algebra, g, k, i):
+        for shift, term in self.algebra.crossing_terms(g, k, i):
             for h, c in term:
                 it = iter(self._cross(h, k + 1, rest, code))
                 for n, c0, c1, c2, c3 in zip(it, it, it, it, it):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from d21alpha import cli, enveloping
+from d21alpha import cli, cohomology, enveloping
 from d21alpha.cli import main
 from d21alpha.cohomology import ConsistencyError
 
@@ -300,8 +300,17 @@ def test_divergent_straightening_is_an_inconsistency(monkeypatch, capsys):
     assert "straightening exceeded 1 rewrite steps" in err
 
 
-def test_divergent_straightening_in_a_scan_names_its_point(monkeypatch, capsys):
-    """The rewrite-step guard also holds while compute_point fills its slice."""
+@pytest.mark.parametrize("primed", [False, True])
+def test_divergent_straightening_in_a_scan_names_its_point(
+    monkeypatch, capsys, primed
+):
+    """The rewrite-step guard holds in a scan, also while a point fills the slice.
+
+    A scan's first point of a slice straightens directly; primed, the slot
+    already holds that slice's key, so the scanned point builds the slice.
+    """
+    if primed:
+        cohomology.compute_point(5, 2, (2, 3, 2), (0, 0, 0))
     monkeypatch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
     code, out, err = run(capsys, "scan", "--p", "5", "--alpha", "2",
                          "--lambda", "2,3,3", "--jobs", "1")
@@ -309,6 +318,7 @@ def test_divergent_straightening_in_a_scan_names_its_point(monkeypatch, capsys):
     assert out == ""
     assert ("p=5 alpha=2 lambda=(2, 3, 3) chi=(0, 0, 0): straightening "
             "exceeded 1 rewrite steps") in err
+    assert (cohomology._POINT_SLOT.action is not None) == primed
 
 
 def test_verma_dump(capsys):

@@ -296,26 +296,41 @@ def test_slice_module_h1_matches_straightening(alg):
 
 
 def test_compute_point_across_interleaved_slices():
-    """Alternating alpha and chi replace the cached slice, never reuse it."""
+    """Slices taken in turn (alpha 1 and 2, chi 0 and not) never answer for another.
+
+    Two consecutive points per (alpha, chi), so the second reads a slice,
+    and the slices come back in another order.
+    """
     rng = random.Random(11)
-    for k in range(8):
-        alpha = 1 + k % 2
-        chi = (0, 0, 0) if k % 4 < 2 else (1, 0, 3)
-        lam = tuple(rng.randrange(P) for _ in range(3))
-        if k == 0:
-            lam = (2, 3, 3)  # a nonzero point, so that a mix-up shows
+    slices = [(1, (0, 0, 0)), (2, (0, 0, 0)), (1, (1, 0, 3)), (2, (1, 0, 3))]
+    special = [(2, 3, 3), (2, 3, 0), (3, 2, 2)]  # nonzero at chi = 0
+    for k in range(16):
+        alpha, chi = slices[(k // 2) * 3 % 4]
+        lam = special[k % 3]
+        if k % 4 >= 2:
+            lam = tuple(rng.randrange(P) for _ in range(3))
         s = compute_point(P, alpha, lam, chi)
+        assert (cohomology._POINT_SLOT.action is not None) == (k % 2 == 1)
         fresh = h1(VermaModule(build_algebra(P, alpha), lam, chi))
         assert (s.dim_even, s.dim_odd) == fresh.sdim, (alpha, lam, chi)
 
 
 def test_compute_point_reduces_before_it_caches():
+    """Unreduced inputs claim the same slot as their residues."""
     first = compute_point(P, ALPHA, (2, 3, 0), (1, 0, 0))
+    assert cohomology._POINT_SLOT.action is None  # one point pays no fill
     again = compute_point(P, ALPHA + P, (7, -2, 5), (1 + P, 0, 0))
-    info = cohomology.point_slice.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    slot = cohomology._POINT_SLOT
+    assert slot.key == (P, ALPHA, (1, 0, 0)) and slot.action is not None
     assert first == again
     assert again.alpha == ALPHA and again.chi_f == (1, 0, 0)
+
+
+def test_compute_point_straightens_above_the_slice_bound():
+    p = cohomology.SLICE_MAX_P + 4  # 11
+    for lam in ((1, 2, 3), (1, 2, 4)):
+        compute_point(p, ALPHA, lam, (0, 0, 0))
+        assert cohomology._POINT_SLOT.action is None
 
 
 def _defects_by_pairs(phi, module):
