@@ -162,7 +162,8 @@ class SuperAlgebra:
         D(x) = [x, f]; returns ((i - j, ((h, C(i, j) * coefficient of h in
         D^j(g)), ...)), ...), memoized per algebra under (g, k, i).  ad f is
         nilpotent (ad f^3 = 0), so there are at most three terms, whatever i
-        and p are.
+        and p are.  Each D^j(g) is a multiple of one generator and each
+        coefficient lies in 1..p-1, which bounds ``ActionSlice``'s lanes.
         """
         out = self._crossing_terms.get((g, k, i))
         if out is not None:

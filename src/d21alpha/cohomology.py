@@ -523,7 +523,7 @@ class PointSummary:
 # The largest p at which compute_point reads its columns from a slice.  The
 # slice pays when a point's columns recur across the lambda of its slice: over
 # consecutive lambda (scan order) 97% of a point's column requests recur at
-# p=5 and 96% at p=7, and a full slice holds 4.6 and 12.5 MB.  At p=31 45%
+# p=5 and 96% at p=7, and a full slice holds 4.6 and 11.7 MB.  At p=31 45%
 # recur: a slice point gains about 10% over a long scan, but the memo grows
 # by about 0.4 MB a point toward the 17 * 16 p^3 columns of a full slice (8M);
 # at p=101 35% recur, and a slice point is slower than straightening.
@@ -549,7 +549,7 @@ def point_module(p: int, alpha: int, lam, chi) -> VermaModule:
     every later point reads its columns from there.  A scan's tasks are
     alpha-major and a worker takes them in consecutive chunks, so
     consecutive points share a slice, and one slot per process bounds memory
-    by one slice (12.5 MB at p=7).  A point of another slice drops it.
+    by one slice (11.7 MB at p=7).  A point of another slice drops it.
     """
     key, slot = (p, alpha, chi), _POINT_SLOT
     if slot.key == key and p <= SLICE_MAX_P:

@@ -42,9 +42,12 @@ vector (a y or an f): the bracket of two negative root vectors is one or 0,
 and a bracket with the one other letter (g', or the letter that replaced it)
 replaces that letter.  So a word holds at most one h, and each term picks up
 at most one lambda_k.  ``ActionSlice`` keeps these affine columns for every
-module of one (algebra, chi); tests/test_enveloping.py::
-test_slice_blocks_match_straightening compares the blocks of modules made
-from a slice with those of directly built, straightening modules.
+module of one (algebra, chi): it packs (c0, c1, c2, c3) as four lanes of one
+int, which the one crossing recursion, ``VermaModule._cross``, carries as it
+carries a scalar, since it only adds and multiplies by residues.
+tests/test_enveloping.py::test_slice_blocks_match_straightening compares the
+blocks of modules made from a slice with those of directly built,
+straightening modules.
 """
 from __future__ import annotations
 
@@ -345,10 +348,11 @@ class VermaModule:
         Straightened, or, for a module made by a slice, the slice's affine
         column evaluated at this module's lambda.
         """
-        if self.slice is None:
-            i1, i2, i3, code = decode(n, self.p)
-            return self._cross(g, 0, (i1, i2, i3), code)
         p = self.p
+        if self.slice is None:
+            i1, i2, i3, code = decode(n, p)
+            crossed = self._cross(g, 0, (i1, i2, i3), code)
+            return {m: r for m, v in crossed.items() if (r := v % p)}
         l1, l2, l3 = self.lam
         out = {}
         it = iter(self.slice.column(g, n))
@@ -359,14 +363,16 @@ class VermaModule:
         return out
 
     def _cross(self, g: int, k: int, exps, code: int) -> dict[int, int]:
-        """Coordinates of g * f_{k+1}^exps[0] ... f_3^exps[-1] y^code v.
+        """Coordinates of g * f_{k+1}^exps[0] ... f_3^exps[-1] y^code v, unreduced.
 
         Crosses f = f_{k+1} to the power i = exps[0] in one step
         (``SuperAlgebra.crossing_terms``) and recurses on each generator of
         D^j(g).  Multiplying by f^(i-j) on the left only raises the k-th
-        exponent (the f's commute), wrapping f^p to chi(f).  The inner levels
-        are cached per module; the top level (k = 0) is one key per column
-        and is not.
+        exponent (the f's commute), wrapping f^p to chi(f).  It only adds and
+        multiplies by residues, so coefficients stay exact and non-negative
+        (``column`` reduces once) and packed ``ActionSlice`` tails pass
+        through it.  The inner levels are cached per owner; the top level
+        (k = 0) is one key per column and is not.
         """
         if k:
             key = (g, k, exps, code)
@@ -374,7 +380,7 @@ class VermaModule:
             if out is not None:
                 return out
         if not exps:  # only the y-tail is left: at most five letters
-            out = self._crossings[key] = self._normal_form_raw([g, *Y_WORDS[code]])
+            out = self._crossings[key] = self._tail(g, code)
             return out
         p, chi_k = self.p, self.chi[k]
         i, rest = exps[0], exps[1:]
@@ -389,11 +395,15 @@ class VermaModule:
                         v *= chi_k
                         n -= p * stride
                     n += shift * stride
-                    acc[n] = (acc.get(n, 0) + v) % p
-        out = {n: v for n, v in acc.items() if v}
-        if k:
-            self._crossings[key] = out
+                    acc[n] = acc.get(n, 0) + v
+        if not k:  # the caller reduces mod p and drops zeros
+            return acc
+        out = self._crossings[key] = {n: v for n, v in acc.items() if v}
         return out
+
+    def _tail(self, g: int, code: int) -> dict[int, int]:
+        """Coordinates of g y^code v, the innermost level of ``_cross``."""
+        return self._normal_form_raw([g, *Y_WORDS[code]])
 
     def _shifted(self, beta, g: int) -> tuple[int, int, int]:
         """The weight beta + wt(g), as canonical residues."""
@@ -493,33 +503,45 @@ class VermaModule:
 class ActionSlice:
     """The affine action columns of every module with one (algebra, chi).
 
-    Straightens each y-tail at lambda = 0, e1, e2, e3 and takes differences,
-    then carries the four coefficients through the crossing recursion of
-    ``VermaModule._cross``.  ``column`` fills on first request and memoizes;
-    ``module(lam)`` makes a ``VermaModule`` that reads its columns from here.
+    Straightens each y-tail at lambda = 0, e1, e2, e3 and takes differences
+    (``_tail``); c_j of (c0, c1, c2, c3) is lane j, bits j*w to (j+1)*w - 1,
+    of one int, which ``VermaModule._cross`` carries.  ``column`` unpacks
+    each coordinate mod p and memoizes; ``module(lam)`` makes a
+    ``VermaModule`` that reads its columns from here.
+
+    Lanes never carry into each other: every factor is a residue >= 0 (a
+    crossing coefficient, or chi(f_k) where f^p wraps) and a tail lane is a
+    residue; a level sends at most three contributions to a coordinate, one
+    per crossing term (each D^j(g) is a multiple of one generator), each an
+    inner lane times at most (p-1)^2.  After the three levels a lane is at
+    most (p-1) (3 (p-1)^2)^3 = 27 (p-1)^7, and w is that bound's bit length.
 
     Memory grows with the columns requested, up to the 17 * 16 p^3 of a
-    full slice; no slot is allocated ahead.  A filled column, and each inner
-    level of its recursion, is one flat int tuple (m, c0, c1, c2, c3, m',
-    ...).  Measured with tracemalloc, a full p=5 slice (the 14,000 columns
-    that h1 reads over all 125 lambda) holds 4.6 MB and a full p=7 slice
-    12.5 MB; at p=31 and p=101 a point adds 0.4 to 1.3 MB, and a full
-    p=31 slice would hold some 8M columns, which is why ``compute_point``
-    keeps slices to p <= 7.
+    full slice; no slot is allocated ahead.  A filled column is one flat
+    int tuple (m, c0, c1, c2, c3, m', ...); the inner levels of its
+    recursion are the packed dicts of ``_cross``.  Measured with
+    tracemalloc, a full p=5 slice (the 14,000 columns that h1 reads over
+    all 125 lambda) holds 4.6 MB and a full p=7 slice 11.7 MB; three points
+    at p=31 or p=101 hold 4.3 MB, and a full p=31 slice would hold some 8M
+    columns, which is why ``compute_point`` keeps slices to p <= 7.
     """
 
+    _cross = VermaModule._cross  # the one crossing recursion, on packed lanes
+
     def __init__(self, algebra: SuperAlgebra, chi):
+        p = algebra.p
         self.algebra = algebra
-        self.p = algebra.p
-        self.chi = tuple(c % self.p for c in chi)
+        self.p = p
+        self.chi = tuple(c % p for c in chi)
+        self.lane_bits = (27 * (p - 1) ** 7).bit_length()
         # modules at lambda = 0, e1, e2, e3, which straighten the y-tails
         self._references = tuple(
             VermaModule(algebra, lam, chi)
             for lam in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         )
-        # (generator, index) -> flat column, and the inner levels of the
-        # recursion: (generator, level, remaining f-exponents, theta code)
-        self._columns: dict[tuple, tuple[int, ...]] = {}
+        self._columns: dict[tuple[int, int], tuple[int, ...]] = {}
+        # (generator, level, remaining f-exponents, theta code) -> packed lanes
+        self._crossings: dict[tuple, dict[int, int]] = {}
 
     def module(self, lam) -> VermaModule:
         """The module with this slice's algebra and chi at highest weight lam."""
@@ -529,60 +551,27 @@ class ActionSlice:
         """The affine column of g * n, flat: (m, c0, c1, c2, c3, m', ...)."""
         out = self._columns.get((g, n))
         if out is None:
-            i1, i2, i3, code = decode(n, self.p)
-            out = self._columns[g, n] = self._cross(g, 0, (i1, i2, i3), code)
+            p, w = self.p, self.lane_bits
+            mask = (1 << w) - 1
+            i1, i2, i3, code = decode(n, p)
+            flat: list[int] = []
+            for m, x in self._cross(g, 0, (i1, i2, i3), code).items():
+                lanes = [(x >> j * w & mask) % p for j in range(4)]
+                if any(lanes):
+                    flat += [m, *lanes]
+            out = self._columns[g, n] = tuple(flat)
         return out
 
-    def _tail(self, g: int, code: int) -> tuple[int, ...]:
-        """The affine coordinates of g y^code v."""
+    def _tail(self, g: int, code: int) -> dict[int, int]:
+        """The packed affine coordinates of g y^code v."""
         word = [g, *Y_WORDS[code]]
         base, *units = (m._normal_form_raw(word) for m in self._references)
-        p = self.p
-        flat: list[int] = []
+        p, w = self.p, self.lane_bits
+        out: dict[int, int] = {}
         for n in set(base).union(*units):
             c0 = base.get(n, 0)
-            flat += [n, c0, *((u.get(n, 0) - c0) % p for u in units)]
-        return tuple(flat)
-
-    def _cross(self, g: int, k: int, exps, code: int) -> tuple[int, ...]:
-        """``VermaModule._cross`` on affine coefficients; caches the inner levels."""
-        if k:
-            key = (g, k, exps, code)
-            out = self._columns.get(key)
-            if out is not None:
-                return out
-        if not exps:
-            out = self._columns[key] = self._tail(g, code)
-            return out
-        p, chi_k = self.p, self.chi[k]
-        i, rest = exps[0], exps[1:]
-        stride = 16 * p ** len(rest)
-        acc: dict[int, list[int]] = {}
-        for shift, term in self.algebra.crossing_terms(g, k, i):
-            for h, c in term:
-                it = iter(self._cross(h, k + 1, rest, code))
-                for n, c0, c1, c2, c3 in zip(it, it, it, it, it):
-                    v = c
-                    if n // stride % p + shift >= p:
-                        v *= chi_k
-                        n -= p * stride
-                    n += shift * stride
-                    a = acc.get(n)
-                    if a is None:
-                        acc[n] = [v * c0, v * c1, v * c2, v * c3]
-                    else:
-                        a[0] += v * c0
-                        a[1] += v * c1
-                        a[2] += v * c2
-                        a[3] += v * c3
-        flat: list[int] = []
-        for n, a in acc.items():
-            a = [x % p for x in a]
-            if any(a):
-                flat += [n, *a]
-        out = tuple(flat)
-        if k:
-            self._columns[key] = out
+            lanes = ((u.get(n, 0) - c0) % p << j * w for j, u in enumerate(units, 1))
+            out[n] = c0 + sum(lanes)
         return out
 
 

@@ -207,19 +207,41 @@ def test_columns_agree_with_direct_straightening(fixture, request):
             assert {int(r): int(v) for r, v in zip(col.row, col.data)} == direct
 
 
+@pytest.fixture
+def reduced_columns(monkeypatch):
+    """Every column read while the test runs holds residues in 1..p-1 only.
+
+    ``block`` drops nothing itself: a zero left in a column would fall
+    outside the allowed codes and an unreduced value would enter a block.
+    """
+    column = VermaModule.column
+
+    def checked(module, g, n):
+        out = column(module, g, n)
+        assert all(0 < v < module.p for v in out.values()), (g, n, out)
+        return out
+
+    monkeypatch.setattr(VermaModule, "column", checked)
+
+
 @pytest.mark.parametrize("p,chi,codes", [
     (5, (0, 0, 0), range(16)),
     (5, (1, 2, 3), range(16)),
     (31, (1, 2, 3), (0, 1, 6, 9, 14, 15)),
 ])
-def test_crossing_edge_cases_match_direct_straightening(p, chi, codes):
+def test_crossing_edge_cases_match_direct_straightening(
+    p, chi, codes, reduced_columns
+):
     """Exponents 0 and p-1, where f^(i-j) wraps to chi, for every generator.
 
     Codes 6 and 9 hold y2 y3 and y1 y4, whose brackets put an f1 back into
     the f-segment.  At p=31 the all-(p-1) monomial is left out: the direct
-    straightening takes seconds there.
+    straightening takes seconds there.  The rewriting system is the oracle
+    of a directly built module and of one that reads an ActionSlice.
     """
-    module = VermaModule(build_algebra(p, 2), (1, 2, 3), chi)
+    alg = build_algebra(p, 2)
+    module = VermaModule(alg, (1, 2, 3), chi)
+    made = ActionSlice(alg, chi).module((1, 2, 3))
     for exps in itertools.product((0, 1, p - 1), repeat=3):
         if p > 5 and exps == (p - 1,) * 3:
             continue
@@ -227,9 +249,9 @@ def test_crossing_edge_cases_match_direct_straightening(p, chi, codes):
             n = encode(*exps, code, p)
             word = list(module.monomial_word(n))
             for g in range(17):
-                assert module.column(g, n) == module._normal_form_raw([g] + word), (
-                    g, exps, code
-                )
+                expected = module._normal_form_raw([g] + word)
+                assert module.column(g, n) == expected, (g, exps, code)
+                assert made.column(g, n) == expected, (g, exps, code)
 
 
 def test_blocks_do_not_depend_on_request_order():
@@ -253,8 +275,9 @@ def test_blocks_do_not_depend_on_request_order():
     (5, 2, (0, 0, 0), None),  # every lambda of the slice
     (5, 3, (1, 2, 4), 12),
     (7, 3, (2, 0, 5), 12),
+    (101, 3, (100, 100, 100), 12),  # the widest lanes
 ])
-def test_slice_blocks_match_straightening(p, alpha, chi, sample):
+def test_slice_blocks_match_straightening(p, alpha, chi, sample, reduced_columns):
     """A slice-made module's blocks equal those of a directly built one.
 
     Every block(g, weights[u]) that the derivation identity reads; at
@@ -277,6 +300,47 @@ def test_slice_blocks_match_straightening(p, alpha, chi, sample):
                 assert (made.block(g, beta) == direct.block(g, beta)).all(), (
                     lam, g, beta
                 )
+
+
+class _LaneModule(VermaModule):
+    """Carries lane j of a slice's packed tails through ``_cross`` unpacked."""
+
+    def __init__(self, action, j):
+        super().__init__(action.algebra, (0, 0, 0), action.chi)
+        self.action, self.shift = action, j * action.lane_bits
+
+    def _tail(self, g, code):
+        mask = (1 << self.action.lane_bits) - 1
+        return {
+            n: x >> self.shift & mask for n, x in self.action._tail(g, code).items()
+        }
+
+
+def test_slice_lanes_stay_below_their_bound():
+    """The unreduced lanes at p=101 with chi = p-1 stay within 27 (p-1)^7.
+
+    chi(f_k) = p-1 makes every wrap multiply by the largest residue.  Each
+    lane is carried through the recursion on its own, and the packed column
+    must equal the lanes shifted into place: no lane carried.
+    """
+    p = 101
+    action = ActionSlice(build_algebra(p, 3), (p - 1,) * 3)
+    w, bound = action.lane_bits, 27 * (p - 1) ** 7
+    assert bound < 1 << w
+    lanes = [_LaneModule(action, j) for j in range(4)]
+    largest = 0
+    for exps in itertools.product((0, 1, p - 2, p - 1), repeat=3):
+        for code in range(16):
+            for g in range(17):
+                packed = action._cross(g, 0, exps, code)
+                parts = [lane._cross(g, 0, exps, code) for lane in lanes]
+                for n in set(packed).union(*parts):
+                    values = [part.get(n, 0) for part in parts]
+                    largest = max(largest, *values)
+                    assert packed.get(n, 0) == sum(
+                        v << j * w for j, v in enumerate(values)
+                    ), (g, exps, code, n)
+    assert 0 < largest <= bound
 
 
 def test_block_rejects_action_leaving_its_weight_space(alg):
