@@ -21,6 +21,7 @@ from math import comb
 
 import numpy as np
 
+from . import linalg
 from .field import is_prime
 
 # Fixed 17-slot enumeration.  All dense per-generator data uses this order.
@@ -289,16 +290,6 @@ class SuperAlgebra:
         return {"p": self.p, "alpha": self.alpha, "pairs": pairs}
 
 
-def _mod(m, p: int):
-    """m reduced mod p, as a new dense array or CSR matrix."""
-    if isinstance(m, np.ndarray):
-        return m % p
-    m = m.tocsr(copy=True)
-    m.data %= p
-    m.eliminate_zeros()
-    return m
-
-
 def representation_defects(
     algebra: SuperAlgebra, mats, chi
 ) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -324,7 +315,7 @@ def representation_defects(
     out = []
 
     def check(gens, defect):
-        cols = np.unique(_mod(defect, p).nonzero()[1])
+        cols = np.unique(linalg.mod(defect, p).nonzero()[1])
         if cols.size:
             out.append((gens, cols))
 
@@ -344,7 +335,7 @@ def representation_defects(
     for g in range(F3 + 1):
         power = mats[g]
         for _ in range(p - 1):
-            power = _mod(power @ mats[g], p)
+            power = linalg.mod(power @ mats[g], p)
         if g <= H3:
             target = mats[g]
         else:  # e^[p] = 0 and f_k^[p] = chi_k^p

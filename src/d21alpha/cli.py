@@ -17,8 +17,8 @@ import numpy as np
 from . import linalg
 from .algebra import build_algebra
 from .cohomology import (
-    ConsistencyError, PSI_REGIMES, compute_point, full_derivation_dims,
-    graded_spaces, h1, psi, psi_lambda,
+    ORACLE_MAX_P, ConsistencyError, PSI_REGIMES, compute_point,
+    full_derivation_dims, graded_spaces, h1, psi, psi_lambda,
 )
 from .enveloping import VermaModule, decode, theta_tuple, verify_module_axioms
 from .field import is_prime
@@ -28,7 +28,6 @@ from .field import is_prime
 # grid) grows as p^3 and keeps the lower cap.
 MAX_P = 101
 MAX_P_MODULE = 31
-MAX_P_FULL = 7
 
 # customary 2p-offset aliases for the nonzero locus of the superdimension table
 LAMBDA_ALIASES = (
@@ -65,8 +64,8 @@ def _validate_p(p: int, method: str = "graded", cap: int = MAX_P) -> None:
     # the range first: is_prime is trial division, slow for a huge p
     if not 3 < p <= cap or not is_prime(p):
         raise CliError(f"p must be a prime with 3 < p <= {cap}, got {p}")
-    if method == "both" and p > MAX_P_FULL:
-        raise CliError(f"the ungraded oracle is capped at p <= {MAX_P_FULL}")
+    if method == "both" and p > ORACLE_MAX_P:
+        raise CliError(f"the ungraded oracle is capped at p <= {ORACLE_MAX_P}")
 
 
 def _alphas(text: str, p: int) -> list[int]:
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, lam_default="0,0,0")
     sp.add_argument("--method", choices=("graded", "both"), default="graded",
                     help="graded solver, or the graded solver cross-checked "
-                         "against the ungraded oracle (p <= 7)")
+                         f"against the ungraded oracle (p <= {ORACLE_MAX_P})")
     sp.set_defaults(func=cmd_h1)
 
     sp = sub.add_parser("scan", help="sweep lambda/alpha and emit CSV")

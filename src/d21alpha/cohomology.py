@@ -235,10 +235,9 @@ def h1(module: VermaModule) -> H1Result:
 
 # -- ungraded oracle ---------------------------------------------------------
 
-
-def _sparse(mat, p: int) -> linalg.SparseMatrix:
-    coo = mat.tocoo()
-    return linalg.SparseMatrix(*coo.shape, (coo.row, coo.col, coo.data), p)
+# The largest p the ungraded oracle accepts: its system has 136 p^3 unknowns
+# per parity.
+ORACLE_MAX_P = 7
 
 
 def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
@@ -252,13 +251,13 @@ def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
     each term c.g of [a,b], and signed parity-column slices of the action
     matrices of a and b.  The system splits into column-connected components
     that are eliminated exactly; its kernel dimension is the derivation-space
-    dimension.  Feasible sizes only: refuses p > 7.
+    dimension.  Feasible sizes only: refuses p > ORACLE_MAX_P.
     """
     import scipy.sparse as sp  # only the oracle builds whole-module systems
 
     p = module.p
-    if p > 7:
-        raise ValueError("ungraded oracle is limited to p <= 7")
+    if p > ORACLE_MAX_P:
+        raise ValueError(f"ungraded oracle is limited to p <= {ORACLE_MAX_P}")
     mats = module.matrices()
     mp = monomial_parity(np.arange(module.dim, dtype=np.int64))
     for g, mat in enumerate(mats):
@@ -269,7 +268,7 @@ def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
     # the identity and each generator's action on the monomials of each parity
     ident = sp.identity(module.dim, dtype=np.int64, format="csc")
     eye = [ident[:, h] for h in halves]
-    acts = [[mat.tocsc()[:, h] for h in halves] for mat in mats]
+    acts = [[csc[:, h] for h in halves] for csc in (mat.tocsc() for mat in mats)]
     unk = [(PARITY[g] + parity) % 2 for g in range(17)]  # the parity of phi(g)
     bracket = module.algebra.bracket_items
     pairs = [(a, b) for a in range(17) for b in range(a + 1, 17)]
@@ -292,8 +291,8 @@ def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
         (-1 if PARITY[b] and parity else 1) * acts[b][parity][halves[unk[b]]].T
         for b in range(17)
     ])
-    dim_der = system.shape[1] - linalg.rank(_sparse(system, p))
-    return dim_der, linalg.rank(_sparse(inner, p))
+    dim_der = system.shape[1] - linalg.rank(linalg.SparseMatrix(system, p))
+    return dim_der, linalg.rank(linalg.SparseMatrix(inner, p))
 
 
 # -- the psi families ---------------------------------------------------------

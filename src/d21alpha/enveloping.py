@@ -55,6 +55,7 @@ import itertools
 
 import numpy as np
 
+from . import linalg
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4, Y1, Y2, Y3, Y4,
     GENERATOR_INDEX, GENERATOR_NAMES, PARITY, SuperAlgebra, build_algebra,
@@ -596,7 +597,7 @@ def verify_module_axioms(p: int, alpha: int, lam, chi) -> list[str]:
         else:
             bad.append(f"{names}^p differs from the image of its p-map")
     for g in range(X1, Y4 + 1):
-        if ((mats[g] @ mats[g]).data % p).any():
+        if linalg.mod(mats[g] @ mats[g], p).nnz:
             bad.append(f"{GENERATOR_NAMES[g]}^2 is nonzero")
     weights = np.array(
         monomial_weight(np.arange(module.dim, dtype=np.int64), module.lam, p)

@@ -7,9 +7,11 @@ does not change, and the pivot row is 0 left of c.  Every update is reduced
 mod p, so every stored entry is < p and every product < p^2, which keeps
 the loop exact in int64 for p < 3·10^9.  Kernels are read off the RREF
 (the graded derivation systems); a subspace is its RREF array, and
-`reduce` takes residues modulo it.  The rank of a sparse system (the
-ungraded oracle) splits it into column-connected components and eliminates
-each component densely.  All arithmetic is integer arithmetic mod p, with
+`reduce` takes residues modulo it.  `mod` is the one mod-p reduction of a
+dense array or a scipy sparse matrix (the axiom checks' products, the
+oracle's systems).  The rank of a sparse system (the ungraded oracle) is read
+from its CSR matrix mod p: it splits into column-connected components, and
+each is eliminated densely.  All arithmetic is integer arithmetic mod p, with
 no floats; results are canonical, so rank and kernel bases do not depend on
 row order.
 """
@@ -65,29 +67,27 @@ def reduce(E: np.ndarray, V, p: int) -> np.ndarray:
     return (V - V[..., pivots] @ E) % p
 
 
+def mod(m, p: int):
+    """m reduced mod p: a new array, or a new CSR matrix with no stored zeros.
+
+    A COO matrix's duplicate entries are summed by the conversion to CSR,
+    before the reduction.
+    """
+    if isinstance(m, np.ndarray):
+        return m % p
+    m = m.tocsr(copy=True)
+    m.data %= p
+    m.eliminate_zeros()
+    return m
+
+
 class SparseMatrix:
-    """COO matrix over F_p with canonical entries (coalesced, no zeros)."""
+    """A scipy sparse matrix over F_p, held as CSR mod p with no stored zeros."""
 
-    def __init__(self, rows: int, cols: int, entries, p: int):
-        # imported here: only whole-module work builds a sparse matrix
-        import scipy.sparse as sp
-
-        self.shape = (rows, cols)
+    def __init__(self, mat, p: int):
         self.p = p
-        if entries and isinstance(entries[0], tuple):
-            r, c, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
-        elif entries:
-            r, c, v = (np.asarray(x, dtype=np.int64) for x in entries)
-        else:
-            r = c = v = np.zeros(0, dtype=np.int64)
-        m = sp.coo_matrix((v % p, (r, c)), shape=self.shape, dtype=np.int64).tocsr()
-        m.sum_duplicates()
-        m.data %= p
-        m.eliminate_zeros()
-        self.csr = m
-
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.csr.todense(), dtype=np.int64)
+        self.csr = mod(mat, p)
+        self.shape = self.csr.shape
 
     def column_components(self):
         """Groups (row_ids, col_ids) of the column-connectivity components.
@@ -132,8 +132,7 @@ def rank(M, p: int | None = None) -> int:
     for rows, cols in M.column_components():
         if len(rows) == 0:
             continue
-        sub = np.asarray(M.csr[rows][:, cols].todense(), dtype=np.int64)
-        total += len(rref(sub, M.p)[1])
+        total += len(rref(M.csr[rows][:, cols].toarray(), M.p)[1])
     return total
 
 

@@ -193,18 +193,21 @@ def test_h1_has_no_method_full(capsys):
 
 def test_import_leaves_the_oracle_graph_code_unloaded():
     # scipy.sparse (with its csgraph and scipy.linalg) loads only for
-    # whole-module work: neither the import nor a graded command loads it
+    # whole-module work: neither the import, a graded command nor the
+    # algebra's axiom check (which reduces through linalg.mod) loads it
     code = (
         "import sys, d21alpha.cli\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('loaded:', 'scipy.sparse' in sys.modules)\n"
         "d21alpha.cli.main(['h1', '--p', '7', '--alpha', '3', '--lambda', '2,5,5'])\n"
         "d21alpha.cli.main(['verify-psi', '--which', '1', '--p', '7'])\n"
-        "print('scipy.sparse' in sys.modules)\n"
+        "print('loaded:', 'scipy.sparse' in sys.modules)\n"
+        "d21alpha.cli.main(['check', '--p', '5', '--alpha', '2', '--algebra-only'])\n"
+        "print('loaded:', 'scipy.sparse' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout.splitlines()
-    assert out[0] == out[-1] == "False"
+    assert [line for line in out if line.startswith("loaded:")] == ["loaded: False"] * 3
 
 
 def test_scan_alpha_sweep_single_lambda(capsys):

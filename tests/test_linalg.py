@@ -2,13 +2,14 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from d21alpha import linalg
 from d21alpha.algebra import build_algebra
 from d21alpha.cohomology import GradedLayout
 from d21alpha.enveloping import VermaModule
-from d21alpha.linalg import SparseMatrix, kernel_basis, rank, reduce, rref
+from d21alpha.linalg import SparseMatrix, kernel_basis, mod, rank, reduce, rref
 
 
 def brute_force_kernel_dim(mat: np.ndarray, p: int) -> int:
@@ -123,13 +124,51 @@ def test_reduce_equals_the_row_by_row_loop(p):
         assert np.array_equal(reduce(E, V[0], p), expected[0])
 
 
+def _coo(shape, entries, p):
+    """SparseMatrix of (row, col, value) entries, duplicates summed."""
+    r, c, v = (np.array(x, dtype=np.int64) for x in zip(*entries))
+    return SparseMatrix(sp.coo_matrix((v, (r, c)), shape=shape), p)
+
+
+def test_mod_agrees_on_dense_csr_and_coo():
+    p = 5
+    # duplicates (3 + 2 and 4 + 6), negative entries, entries >= p, zeros
+    r = [0, 0, 1, 1, 2, 2, 2, 3, 3]
+    c = [0, 0, 1, 2, 0, 3, 3, 1, 2]
+    v = [3, 2, -1, 12, 10, 4, 6, 0, -7]
+    dense = np.zeros((4, 4), dtype=np.int64)
+    np.add.at(dense, (r, c), v)
+    expected = dense % p
+    coo = sp.coo_matrix((np.array(v, dtype=np.int64), (r, c)), shape=(4, 4))
+    csr = sp.csr_matrix(dense)
+    csr_zero = csr.copy()
+    csr_zero.data[0] = 0  # an explicit stored zero in place of dense[0, 0]
+    inputs = [dense, coo, csr, csr_zero]
+    before = [m.copy() for m in inputs]
+    assert np.array_equal(mod(dense, p), expected)
+    for m in (coo, csr):
+        out = mod(m, p)
+        assert out.format == "csr"
+        assert np.array_equal(out.toarray(), expected)
+        assert out.nnz == np.count_nonzero(expected)
+        assert (out.data != 0).all()
+        assert (0 <= out.data).all() and (out.data < p).all()
+    out = mod(csr_zero, p)
+    assert out.nnz == np.count_nonzero(expected) and (out.data != 0).all()
+    # the inputs are untouched
+    assert np.array_equal(inputs[0], before[0])
+    for m, old in zip(inputs[1:], before[1:]):
+        assert m.format == old.format
+        assert np.array_equal(m.toarray(), old.toarray()) and m.nnz == old.nnz
+
+
 def test_sparse_matrix_canonicalization():
     p = 5
-    m = SparseMatrix(3, 3, [(0, 0, 3), (0, 0, 2), (1, 1, 5), (2, 2, 1)], p)
+    m = _coo((3, 3), [(0, 0, 3), (0, 0, 2), (1, 1, 5), (2, 2, 1)], p)
     # duplicates coalesce (3+2=0 mod 5) and explicit zeros vanish
     expected = np.zeros((3, 3), dtype=np.int64)
     expected[2, 2] = 1
-    assert (m.to_dense() == expected).all()
+    assert (m.csr.toarray() == expected).all()
     assert m.csr.nnz == 1
 
 
@@ -142,30 +181,30 @@ def _random_block_sparse(rng, p, blocks, rows_per, cols_per):
         for i, j in zip(r, c):
             entries.append((b * rows_per + int(i), b * cols_per + int(j),
                             int(block[i, j])))
-    return SparseMatrix(blocks * rows_per, blocks * cols_per, entries, p)
+    return _coo((blocks * rows_per, blocks * cols_per), entries, p)
 
 
 def test_sparse_rank_matches_dense_on_components():
     rng = np.random.default_rng(41)
     p = 5
     m = _random_block_sparse(rng, p, blocks=60, rows_per=11, cols_per=10)
-    dense_rank = len(rref(m.to_dense(), p)[1])
+    dense_rank = len(rref(m.csr.toarray(), p)[1])
     assert rank(m) == dense_rank
 
 
 def test_isolated_columns_count_toward_kernel():
     p = 5
     # 598 columns have no rows and form singleton components
-    m = SparseMatrix(2, 600, [(0, 0, 1), (1, 1, 1)], p)
+    m = _coo((2, 600), [(0, 0, 1), (1, 1, 1)], p)
     assert m.shape[1] - rank(m) == 598
-    ker = kernel_basis(m.to_dense()[:, :4], p)
+    ker = kernel_basis(m.csr.toarray()[:, :4], p)
     assert len(ker) == 2
     assert not reduce(ker, [[0, 0, 1, 0], [0, 0, 0, 1]], p).any()
 
 
 def test_column_components_structure():
     p = 5
-    m = SparseMatrix(3, 6, [(0, 0, 1), (0, 2, 2), (1, 3, 1), (2, 3, 4)], p)
+    m = _coo((3, 6), [(0, 0, 1), (0, 2, 2), (1, 3, 1), (2, 3, 4)], p)
     comps = m.column_components()
     groups = sorted(tuple(sorted(cols.tolist())) for _, cols in comps)
     assert groups == [(0, 2), (1,), (3,), (4,), (5,)]
