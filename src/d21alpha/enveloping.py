@@ -442,9 +442,9 @@ class VermaModule:
             B = self.block(a, self._shifted(beta, b)) @ self.block(b, beta) + sign * (
                 self.block(b, self._shifted(beta, a)) @ self.block(a, beta)
             )
-            if g == E1:
-                B = B * pow(2 * (1 + self.algebra.alpha), p - 2, p)
             B %= p
+            if g == E1:
+                B = B * pow(2 * (1 + self.algebra.alpha), p - 2, p) % p
         else:
             target = self._shifted(beta, g)
             sources, space = self.weight_basis(beta), self.weight_basis(target)

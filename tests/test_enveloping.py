@@ -9,8 +9,9 @@ from d21alpha.algebra import (
     E1, E2, F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra,
     generator_weight, representation_defects,
 )
+from d21alpha.cohomology import h1
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule,
+    DERIVED_GENS, J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule,
     decode, encode, monomial_parity, monomial_weight, theta_tuple,
     verify_module_axioms,
 )
@@ -431,3 +432,25 @@ def test_lambda_canonicalized():
     alg = build_algebra(5, 2)
     m = VermaModule(alg, (7, -2, 12), (0, 0, 0))
     assert m.lam == (2, 3, 2)
+
+
+def test_e1_blocks_are_exact_at_a_large_prime():
+    """e1 = [x1, x4] / (2(1+alpha)): the commutator is reduced before scaling."""
+    p, alpha = 10_000_019, 2
+    alg = build_algebra(p, alpha)
+    module = VermaModule(alg, (2, -2, -2), (0, 0, 0))
+    a, b = DERIVED_GENS[E1]
+    scale = pow(2 * (1 + alpha), p - 2, p)
+
+    def exact(g, beta):
+        return module.block(g, beta).astype(object)
+
+    for u in range(17):
+        beta = alg.weights[u]
+        commutator = (
+            exact(a, module._shifted(beta, b)) @ exact(b, beta)
+            + exact(b, module._shifted(beta, a)) @ exact(a, beta)
+        )
+        expected = commutator % p * scale % p
+        assert (exact(E1, beta) == expected).all(), u
+    assert h1(module).sdim == (6, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from d21alpha import linalg
 from d21alpha.algebra import build_algebra
@@ -310,3 +311,63 @@ def test_rref_is_exact_at_the_largest_p(p):
     ker = kernel_basis(mat, p)
     assert len(ker) == 3
     assert not (mat.astype(object) @ ker.T.astype(object) % p).any()
+
+
+# the budget of pivots between full reductions, floor(2^63 / (p-1)^2), is 2
+# at p = 2^31 - 1 and 1 at p = 3037000493; at p = 101 it is never reached
+@pytest.mark.parametrize("p, rows, cols", [
+    (2**31 - 1, 60, 20), (3037000493, 60, 20), (101, 160, 120),
+])
+def test_rref_equals_the_reference_past_the_reduction_budget(p, rows, cols):
+    rng = np.random.default_rng(cols)
+    for _ in range(3):
+        mat = rng.integers(0, p, size=(rows, cols))
+        E, piv = rref(mat, p)
+        assert piv == list(range(cols))
+        assert _same_rref(mat, p)
+        assert (0 <= E).all() and (E < p).all()
+    # rank-deficient: columns past the rank pass through the loop unpivoted
+    mat = rng.integers(0, p, size=(rows, cols // 2)) @ np.eye(
+        cols // 2, cols, dtype=np.int64
+    )
+    mat[:, cols // 2:] = mat[:, : cols - cols // 2] * 3 % p
+    assert _same_rref(mat, p)
+
+
+def test_components_and_rank_on_scrambled_input():
+    """Permuted rows and columns, empty rows and columns, duplicate entries."""
+    rng = np.random.default_rng(43)
+    p = 7
+    base = _random_block_sparse(rng, p, blocks=40, rows_per=9, cols_per=8).csr
+    nr, nc = base.shape[0] + 25, base.shape[1] + 30
+    row_of = rng.permutation(nr)[: base.shape[0]]
+    col_of = rng.permutation(nc)[: base.shape[1]]
+    coo = base.tocoo()
+    # each entry v is stored as two duplicates that sum to v
+    half = rng.integers(0, p, size=coo.nnz)
+    scrambled = sp.coo_matrix(
+        (np.concatenate([half, coo.data - half]),
+         (np.tile(row_of[coo.row], 2), np.tile(col_of[coo.col], 2))),
+        shape=(nr, nc),
+    ).tocsr()
+    m = SparseMatrix(scrambled, p)
+    dense = m.csr.toarray()
+    assert np.array_equal(dense, scrambled.toarray() % p)
+
+    # a per-label loop: scipy numbers components by their smallest column
+    pattern = sp.csr_matrix((dense != 0).astype(np.int64))
+    ncomp, labels = connected_components(pattern.T @ pattern, directed=False)
+    row_label = np.full(nr, -1, dtype=np.int64)
+    for i in range(nr):
+        if dense[i].any():
+            row_label[i] = labels[np.flatnonzero(dense[i])[0]]
+    expected = [
+        (np.nonzero(row_label == comp)[0], np.nonzero(labels == comp)[0])
+        for comp in range(ncomp)
+    ]
+    comps = m.column_components()
+    assert len(comps) == len(expected) > 40
+    for (rows, cols), (rows0, cols0) in zip(comps, expected):
+        assert rows.dtype == rows0.dtype and cols.dtype == cols0.dtype
+        assert np.array_equal(rows, rows0) and np.array_equal(cols, cols0)
+    assert rank(m) == len(rref(dense, p)[1])
