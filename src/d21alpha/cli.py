@@ -7,6 +7,7 @@ Output is byte-stable for a fixed configuration regardless of --jobs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -29,13 +30,11 @@ from .field import is_prime
 MAX_P = 101
 MAX_P_MODULE = 31
 
-# customary 2p-offset aliases for the nonzero locus of the superdimension table
-LAMBDA_ALIASES = (
-    ((2, -2, -2), "(2p+2,2p-2,2p-2)"),
-    ((2, -2, 0), "(2p+2,2p-2,2p)"),
-    ((2, 0, -2), "(2p+2,2p,2p-2)"),
-    ((3, -3, -3), "(2p+3,2p-3,2p-3)"),
-)
+# customary 2p-offset aliases for the nonzero locus of the superdimension
+# table: the lambda of each psi family, psi_lambda(which, p)
+LAMBDA_ALIASES = dict(zip(PSI_REGIMES, (
+    "(2p+2,2p-2,2p-2)", "(2p+2,2p-2,2p)", "(2p+2,2p,2p-2)", "(2p+3,2p-3,2p-3)",
+)))
 
 
 class CliError(ValueError):
@@ -128,6 +127,18 @@ def _check_output(output: str | None) -> None:
         raise CliError(f"cannot write --output {output}")
 
 
+@contextlib.contextmanager
+def _at_point(p, alpha, lam, chi):
+    """Prefix a failure raised inside with its parameter point."""
+    try:
+        yield
+    except (ConsistencyError, ValueError) as exc:
+        # same type, so main() still maps it to the same exit code
+        raise type(exc)(
+            f"p={p} alpha={alpha} lambda={lam} chi={chi}: {exc}"
+        ) from exc
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is not None:
         try:
@@ -163,7 +174,8 @@ def cmd_check(args) -> int:
               file=sys.stderr)
     module_violations: list[str] = []
     if not args.algebra_only:
-        module_violations = verify_module_axioms(args.p, alpha, lam, chi)
+        with _at_point(args.p, alpha, lam, chi):
+            module_violations = verify_module_axioms(args.p, alpha, lam, chi)
         for v in module_violations:
             print(f"module axiom violation: {v}", file=sys.stderr)
     total = len(violations) + len(module_violations)
@@ -204,36 +216,29 @@ def cmd_h1(args) -> int:
     chi = _parse_triple(args.chi_f, args.p, "chi-f")
     alpha = _single_alpha(args.alpha, args.p)
     module = VermaModule(build_algebra(args.p, alpha), lam, chi)
-    result = h1(module)
-    payload = result.to_json_dict()
-    if args.method == "both":
-        oracle = {}
-        for parity, label in ((0, "even"), (1, "odd")):
-            der, ider = full_derivation_dims(module, parity)
-            der0, ider0 = result.graded_dims[parity]
-            oracle[label] = {"der": der, "ider": ider, "der0": der0, "ider0": ider0}
-            graded_dim = result.dim_even if parity == 0 else result.dim_odd
-            if der - ider != graded_dim or der != der0 + ider - ider0:
-                print(
-                    f"oracle mismatch ({label}): der={der} ider={ider} "
-                    f"graded={graded_dim} der0={der0} ider0={ider0}",
-                    file=sys.stderr,
-                )
-                return 2
-        payload["oracle"] = oracle
+    with _at_point(args.p, alpha, lam, chi):
+        result = h1(module)
+        payload = result.to_json_dict()
+        if args.method == "both":
+            oracle = {}
+            for parity, label in ((0, "even"), (1, "odd")):
+                der, ider = full_derivation_dims(module, parity)
+                der0, ider0 = result.graded_dims[parity]
+                oracle[label] = {"der": der, "ider": ider, "der0": der0, "ider0": ider0}
+                graded_dim = result.dim_even if parity == 0 else result.dim_odd
+                if der - ider != graded_dim or der != der0 + ider - ider0:
+                    raise ConsistencyError(
+                        f"oracle mismatch ({label}): der={der} ider={ider} "
+                        f"graded={graded_dim} der0={der0} ider0={ider0}"
+                    )
+            payload["oracle"] = oracle
     _emit(json.dumps(payload, separators=(",", ":")) + "\n", args.output)
     return 0
 
 
 def _point_task(task):
-    p, alpha, lam, chi = task
-    try:
-        s = compute_point(p, alpha, lam, chi)
-    except (ConsistencyError, ValueError) as exc:
-        # same type, so main() still maps it to the same exit code
-        raise type(exc)(
-            f"p={p} alpha={alpha} lambda={lam} chi={chi}: {exc}"
-        ) from exc
+    with _at_point(*task):
+        s = compute_point(*task)
     return (s.dim_even, s.dim_odd)
 
 
@@ -260,15 +265,9 @@ def cmd_scan(args) -> int:
     for (tp, a, lam, tchi), (even, odd) in zip(tasks, dims):
         lines.append(_scan_row(tp, a, lam, tchi, even, odd))
     lines.append(f"# nonzero rows: {len(nonzero)} of {len(tasks)}")
+    aliases = {psi_lambda(which, p): text for which, text in LAMBDA_ALIASES.items()}
     for a, lam, even, odd in nonzero:
-        alias = next(
-            (
-                text
-                for pattern, text in LAMBDA_ALIASES
-                if lam == tuple(v % p for v in pattern)
-            ),
-            "(no standard alias)",
-        )
+        alias = aliases.get(lam, "(no standard alias)")
         lines.append(f"# alpha={a} lambda=({lam[0]},{lam[1]},{lam[2]}) "
                      f"sdim=({even},{odd}) {alias}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -288,18 +287,20 @@ def cmd_verify_psi(args) -> int:
             )
     alpha = _single_alpha(args.alpha, p)
     module = VermaModule(build_algebra(p, alpha), lam, (0, 0, 0))
-    result = h1(module)
+    # psi names its own point in its messages
+    with _at_point(p, alpha, lam, (0, 0, 0)):
+        result = h1(module)
     _, parity, names = PSI_REGIMES[which]
-    inner = graded_spaces(module, parity)[1]
-    reps = [rep.coords for rep in result.representatives if rep.parity == parity]
-    span = linalg.rref(np.vstack([inner, *reps]), p)[0]
+    # the H^1 span (inner plus h1's representatives) is the kernel: h1 checked
+    # inner <= kernel and built the representatives as a basis of kernel/inner
+    kernel, inner = graded_spaces(module, parity)
     # one psi per parameter direction: the k-th parameter 1, the others 0
     built = [psi(which, [int(i == k) for i in range(len(names))], module)
              for k in range(len(names))]
     coords = np.array([b.map.coords for b in built])
     reduced = linalg.reduce(inner, coords, p)
     outer = reduced.any(axis=1)
-    in_span = ~linalg.reduce(span, coords, p).any(axis=1)
+    in_span = ~linalg.reduce(kernel, coords, p).any(axis=1)
     directions = [
         {
             "param": name,

@@ -17,6 +17,7 @@ dim Der - dim Ider against the graded quotient.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -445,11 +446,12 @@ def psi(which: int, params, module: VermaModule) -> PsiDerivation:
 def check_lemma_h_images(module: VermaModule) -> list[str]:
     """Images of the Cartan generators across the 0-weight derivation basis.
 
-    phi(h_i) must vanish unless lambda = (2, -2, -2) mod p with chi = 0, in
-    which case it may only hit the weight-0 monomial with all four y's.
+    phi(h_i) must vanish unless lambda is psi1's, (2, -2, -2) mod p, with
+    chi = 0, in which case it may only hit the weight-0 monomial with all four
+    y's.
     """
     p = module.p
-    special = module.lam == (2 % p, (-2) % p, (-2) % p) and module.chi == (0, 0, 0)
+    special = module.lam == psi_lambda(1, p) and module.chi == (0, 0, 0)
     allowed = {module.w_index((0, 0, 0), 15)} if special else set()
     bad = []
     for parity in (0, 1):
@@ -529,44 +531,31 @@ class PointSummary:
 SLICE_MAX_P = 7
 
 
-class _PointSlot:
-    """The (p, alpha, chi) of the last point in this process, and its slice."""
+@functools.lru_cache(maxsize=1)
+def _action_slice(p: int, alpha: int, chi) -> ActionSlice:
+    """The slice of one reduced (p, alpha, chi): the one cache of compute_point.
 
-    key: tuple | None = None
-    action: ActionSlice | None = None
-
-
-_POINT_SLOT = _PointSlot()
-
-
-def point_module(p: int, alpha: int, lam, chi) -> VermaModule:
-    """The module compute_point works on; alpha and chi are residues.
-
-    The first point of a (p, alpha, chi) straightens its own columns and
-    only claims the slot, so a one-point scan pays no fill.  A second
-    consecutive point of it at p <= SLICE_MAX_P builds the slot's slice, and
-    every later point reads its columns from there.  A scan's tasks are
-    alpha-major and a worker takes them in consecutive chunks, so
-    consecutive points share a slice, and one slot per process bounds memory
-    by one slice (11.7 MB at p=7).  A point of another slice drops it.
+    A scan's tasks are alpha-major and a worker takes them in consecutive
+    chunks, so consecutive points share a slice, and one entry per process
+    bounds memory by one slice (11.7 MB at p=7).  A point of another slice
+    drops it.
     """
-    key, slot = (p, alpha, chi), _POINT_SLOT
-    if slot.key == key and p <= SLICE_MAX_P:
-        if slot.action is None:
-            slot.action = ActionSlice(build_algebra(p, alpha), chi)
-        return slot.action.module(lam)
-    slot.key, slot.action = key, None
-    return VermaModule(build_algebra(p, alpha), lam, chi)
+    return ActionSlice(build_algebra(p, alpha), chi)
 
 
 def compute_point(p: int, alpha: int, lam, chi) -> PointSummary:
     """Graded H^1 at one parameter point (process-pool friendly).
 
-    Reads its module from ``point_module``, which shares the action columns
-    of consecutive points of one (p, alpha mod p, chi mod p) at p <= 7.
+    At p <= SLICE_MAX_P its module reads its columns from ``_action_slice``,
+    which consecutive points of one (p, alpha mod p, chi mod p) share; above
+    that it straightens its own.
     """
     alpha, chi = alpha % p, tuple(c % p for c in chi)
-    result = h1(point_module(p, alpha, lam, chi))
+    if p <= SLICE_MAX_P:
+        module = _action_slice(p, alpha, chi).module(lam)
+    else:
+        module = VermaModule(build_algebra(p, alpha), lam, chi)
+    result = h1(module)
     return PointSummary(
         p, alpha, tuple(v % p for v in lam), chi, result.dim_even, result.dim_odd,
     )

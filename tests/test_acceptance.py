@@ -4,6 +4,7 @@ Exact arithmetic everywhere, so every comparison is equality.  The two full
 scan grids (all lambda at p=5 and p=7, chi=0) are computed once per session
 and shared between the superdimension-table and the structural-check tests.
 """
+import hashlib
 import json
 import os
 import random
@@ -276,4 +277,8 @@ def test_criterion_9_scan_determinism(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
     assert b"# nonzero rows: 4 of 125" in first.read_bytes()
+    # the CSV as first pinned, comment lines and lambda aliases included
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == (
+        "7d802e734fb4f4f4a97a9a21e8f148b965693e3cb6824c65e6ef1d09a4a255be"
+    )
     print("CRITERION 9 PASS: scan CSV byte-identical for --jobs 1 vs 2")

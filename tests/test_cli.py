@@ -8,8 +8,10 @@ from types import SimpleNamespace
 import pytest
 
 from d21alpha import cli, cohomology, enveloping
+from d21alpha.algebra import build_algebra
 from d21alpha.cli import main
-from d21alpha.cohomology import ConsistencyError
+from d21alpha.cohomology import ConsistencyError, h1, psi_lambda
+from d21alpha.enveloping import VermaModule
 
 
 def run(capsys, *argv):
@@ -295,33 +297,46 @@ def test_failing_scan_point_names_itself(monkeypatch, capsys, error, exit_code):
 
 
 def test_divergent_straightening_is_an_inconsistency(monkeypatch, capsys):
+    """The rewrite-step guard fails each command, and the message names its point."""
     monkeypatch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
-    code, out, err = run(capsys, "h1", "--p", "5", "--alpha", "2",
-                         "--lambda", "2,3,3")
-    assert code == 2
-    assert out == ""
-    assert "straightening exceeded 1 rewrite steps" in err
+    for argv, point in (
+        (["h1", "--p", "5", "--alpha", "2", "--lambda", "2,3,3"],
+         "p=5 alpha=2 lambda=(2, 3, 3) chi=(0, 0, 0)"),
+        (["verify-psi", "--which", "2", "--p", "7", "--alpha", "3"],
+         "p=7 alpha=3 lambda=(2, 5, 0) chi=(0, 0, 0)"),
+        (["check", "--p", "5", "--alpha", "2", "--lambda", "2,3,3",
+          "--chi-f", "1,0,0"],
+         "p=5 alpha=2 lambda=(2, 3, 3) chi=(1, 0, 0)"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert (f"inconsistency: {point}: straightening exceeded 1 rewrite steps"
+                in err), argv
 
 
-@pytest.mark.parametrize("primed", [False, True])
-def test_divergent_straightening_in_a_scan_names_its_point(
-    monkeypatch, capsys, primed
-):
-    """The rewrite-step guard holds in a scan, also while a point fills the slice.
+@pytest.mark.parametrize("p", [5, 11])
+def test_divergent_straightening_in_a_scan_names_its_point(monkeypatch, capsys, p):
+    """The rewrite-step guard holds in a scan, at a point that fills a slice
+    (p=5) or straightens (p=11).
 
-    A scan's first point of a slice straightens directly; primed, the slot
-    already holds that slice's key, so the scanned point builds the slice.
+    With the guard restored, the same point gives the direct module's answer;
+    at p=5 it reads the slice the failed fill left cached.
     """
-    if primed:
-        cohomology.compute_point(5, 2, (2, 3, 2), (0, 0, 0))
-    monkeypatch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
-    code, out, err = run(capsys, "scan", "--p", "5", "--alpha", "2",
-                         "--lambda", "2,3,3", "--jobs", "1")
+    lam = psi_lambda(1, p)
+    with monkeypatch.context() as patch:
+        patch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
+        code, out, err = run(capsys, "scan", "--p", str(p), "--alpha", "2",
+                             "--lambda", ",".join(map(str, lam)), "--jobs", "1")
     assert code == 2
     assert out == ""
-    assert ("p=5 alpha=2 lambda=(2, 3, 3) chi=(0, 0, 0): straightening "
+    assert (f"p={p} alpha=2 lambda={lam} chi=(0, 0, 0): straightening "
             "exceeded 1 rewrite steps") in err
-    assert (cohomology._POINT_SLOT.action is not None) == primed
+    s = cohomology.compute_point(p, 2, lam, (0, 0, 0))
+    direct = h1(VermaModule(build_algebra(p, 2), lam, (0, 0, 0)))
+    assert (s.dim_even, s.dim_odd) == direct.sdim
+    filled = p <= cohomology.SLICE_MAX_P
+    assert cohomology._action_slice.cache_info().hits == int(filled)
 
 
 def test_verma_dump(capsys):
@@ -392,6 +407,10 @@ PINNED_OUTPUTS = [
      "62ac9cdd053e9d129cd88c5c4fe139fdee97fbce8a62868b4ea4b1e2b27452ec"),
     (["verify-psi", "--which", "1", "--p", "5", "--alpha", "2"],
      "5709cb39130cf7074242c44380af824449cedf42228e21b0e77ba71080e02667"),
+    (["verify-psi", "--which", "2", "--p", "5", "--alpha", "2"],
+     "fbf3e7f61a95aa688690158f6c0a9d5b3f18b6411c61b6ef0c767ae2bb4b98cf"),
+    (["verify-psi", "--which", "3", "--p", "5", "--alpha", "2"],
+     "b05c7349ec43f11d5893b4c9e23313c10cc7ed63cd00aa232c238c786d402ce8"),
     (["verify-psi", "--which", "4", "--p", "5", "--alpha", "2"],
      "e70067f4af2871c002ab78bb14ed8807a1604c368d464cf195f94b9dfd931650"),
     # the oracle's absolute dims (der, ider) per parity, not only their difference

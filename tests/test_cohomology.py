@@ -298,8 +298,9 @@ def test_slice_module_h1_matches_straightening(alg):
 def test_compute_point_across_interleaved_slices():
     """Slices taken in turn (alpha 1 and 2, chi 0 and not) never answer for another.
 
-    Two consecutive points per (alpha, chi), so the second reads a slice,
-    and the slices come back in another order.
+    Two consecutive points per (alpha, chi): the first fills a slice, the
+    second reads it, and the next key replaces it.  The slices come back in
+    another order.
     """
     rng = random.Random(11)
     slices = [(1, (0, 0, 0)), (2, (0, 0, 0)), (1, (1, 0, 3)), (2, (1, 0, 3))]
@@ -309,19 +310,24 @@ def test_compute_point_across_interleaved_slices():
         lam = special[k % 3]
         if k % 4 >= 2:
             lam = tuple(rng.randrange(P) for _ in range(3))
+        before = cohomology._action_slice.cache_info()
         s = compute_point(P, alpha, lam, chi)
-        assert (cohomology._POINT_SLOT.action is not None) == (k % 2 == 1)
+        after = cohomology._action_slice.cache_info()
+        assert after.hits - before.hits == k % 2  # the second point shares
+        assert after.misses - before.misses == 1 - k % 2
+        assert after.currsize == 1
         fresh = h1(VermaModule(build_algebra(P, alpha), lam, chi))
         assert (s.dim_even, s.dim_odd) == fresh.sdim, (alpha, lam, chi)
 
 
 def test_compute_point_reduces_before_it_caches():
-    """Unreduced inputs claim the same slot as their residues."""
+    """Unreduced inputs read the slice of their residues."""
     first = compute_point(P, ALPHA, (2, 3, 0), (1, 0, 0))
-    assert cohomology._POINT_SLOT.action is None  # one point pays no fill
     again = compute_point(P, ALPHA + P, (7, -2, 5), (1 + P, 0, 0))
-    slot = cohomology._POINT_SLOT
-    assert slot.key == (P, ALPHA, (1, 0, 0)) and slot.action is not None
+    info = cohomology._action_slice.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert cohomology._action_slice(P, ALPHA, (1, 0, 0)).chi == (1, 0, 0)
+    assert cohomology._action_slice.cache_info().hits == 2
     assert first == again
     assert again.alpha == ALPHA and again.chi_f == (1, 0, 0)
 
@@ -330,7 +336,8 @@ def test_compute_point_straightens_above_the_slice_bound():
     p = cohomology.SLICE_MAX_P + 4  # 11
     for lam in ((1, 2, 3), (1, 2, 4)):
         compute_point(p, ALPHA, lam, (0, 0, 0))
-        assert cohomology._POINT_SLOT.action is None
+    info = cohomology._action_slice.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def _defects_by_pairs(phi, module):
