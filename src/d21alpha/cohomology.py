@@ -24,12 +24,12 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
-    E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4,
+    E1, E2, E3, F2, F3, H1, H2, H3, X1, X2, X3, X4,
     GENERATOR_NAMES, PARITY, build_algebra,
 )
 # ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
-    J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule, decode,
+    J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule,
     monomial_parity,
 )
 
@@ -466,45 +466,6 @@ def check_lemma_h_images(module: VermaModule) -> list[str]:
                         f"parity {parity} basis vector {k}: phi(h{i+1}) has "
                         f"unexpected support {stray}"
                     )
-    return bad
-
-
-def check_f_coupling(module: VermaModule) -> list[str]:
-    """Cross-coupling of the phi(f_i) coefficients along [f_k, f_l] = 0.
-
-    For each derivation, each theta and each k != l the coefficient of the
-    weight-restricted image picks up a chi(f)^p factor exactly when the
-    corresponding f-exponent sits at p-1; the two sides must agree.
-    """
-    p = module.p
-    bad = []
-    f_weights = module.algebra.weights[F1:F3 + 1]
-
-    def wrap_factor(k: int, beta, code: int) -> int:
-        # exponent of f_k in the weight-beta basis monomial tagged code
-        exp = decode(module.w_index(beta, code), p)[k]
-        return module.chi[k] if exp == p - 1 else 1
-
-    for parity in (0, 1):
-        layout = GradedLayout(module, parity)
-        kernel = graded_spaces(module, parity)[0]
-        for idx, row in enumerate(kernel):
-            coeff = [
-                {code: int(row[layout.col(g, code)]) for code in layout.thetas[g]}
-                for g in (F1, F2, F3)
-            ]
-            for k in range(3):
-                for l in range(3):
-                    if k == l:
-                        continue
-                    for code in coeff[k]:
-                        lhs = wrap_factor(l, f_weights[k], code) * coeff[k][code]
-                        rhs = wrap_factor(k, f_weights[l], code) * coeff[l][code]
-                        if (lhs - rhs) % p:
-                            bad.append(
-                                f"parity {parity} basis vector {idx}: coupling "
-                                f"fails for k={k+1}, l={l+1}, theta={code:04b}"
-                            )
     return bad
 
 

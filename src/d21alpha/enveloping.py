@@ -55,7 +55,6 @@ import itertools
 
 import numpy as np
 
-from . import linalg
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4, Y1, Y2, Y3, Y4,
     GENERATOR_INDEX, GENERATOR_NAMES, PARITY, SuperAlgebra, build_algebra,
@@ -582,29 +581,20 @@ def verify_module_axioms(p: int, alpha: int, lam, chi) -> list[str]:
     The action matrices go through the check the algebra's adjoint
     representation also passes (``algebra.representation_defects``): the
     super-commutator identity for all ordered generator pairs and
-    restrictedness (f_i^p = chi(f_i)^p, e_i^p = 0, h_i^p = h_i).  Then come
-    vanishing squares of odd generators and the weight grading of every
-    action matrix.
+    restrictedness (f_i^p = chi(f_i)^p, e_i^p = 0, h_i^p = h_i).  It also
+    decides the odd squares and the weight grading.  For an odd generator a,
+    [a, a] = 0, so the defect of the pair (a, a) is 2 rho(a)^2, which
+    vanishes exactly when rho(a)^2 does (p is odd).  And rho(h_i) is beta_i
+    on the weight space beta, so the pairs (h_i, g) hold exactly when rho(g)
+    maps each weight space beta into beta + wt(g).
     """
     algebra = build_algebra(p, alpha)
     module = VermaModule(algebra, lam, chi)
-    mats = module.matrices()
     bad: list[str] = []
-    for gens, _ in representation_defects(algebra, mats, module.chi):
+    for gens, _ in representation_defects(algebra, module.matrices(), module.chi):
         names = ",".join(GENERATOR_NAMES[g] for g in gens)
         if len(gens) == 2:
             bad.append(f"commutator identity fails for [{names}]")
         else:
             bad.append(f"{names}^p differs from the image of its p-map")
-    for g in range(X1, Y4 + 1):
-        if linalg.mod(mats[g] @ mats[g], p).nnz:
-            bad.append(f"{GENERATOR_NAMES[g]}^2 is nonzero")
-    weights = np.array(
-        monomial_weight(np.arange(module.dim, dtype=np.int64), module.lam, p)
-    )
-    for g in range(17):
-        coo = mats[g].tocoo()
-        shift = np.array(algebra.weights[g])[:, None]
-        if ((weights[:, coo.row] - weights[:, coo.col] - shift) % p).any():
-            bad.append(f"action of {GENERATOR_NAMES[g]} violates the weight grading")
     return bad

@@ -17,7 +17,7 @@ import pytest
 from d21alpha.algebra import build_algebra
 from d21alpha.cli import main
 from d21alpha.cohomology import (
-    check_f_coupling, check_lemma_h_images, compute_point, full_derivation_dims, h1,
+    check_lemma_h_images, compute_point, full_derivation_dims, h1,
 )
 from d21alpha.enveloping import VermaModule, decode, verify_module_axioms
 
@@ -36,16 +36,14 @@ class CheckedPoint:
     dim_even: int
     dim_odd: int
     h_image_violations: tuple[str, ...]
-    coupling_violations: tuple[str, ...]
 
 
 def _checked_point(p, alpha, lam, chi):
-    """H^1 at one point plus the two structural checks on the same module."""
+    """H^1 at one point plus the h-image lemma on the same module."""
     module = VermaModule(build_algebra(p, alpha), lam, chi)
     result = h1(module)
     return CheckedPoint(
-        result.dim_even, result.dim_odd,
-        tuple(check_lemma_h_images(module)), tuple(check_f_coupling(module)),
+        result.dim_even, result.dim_odd, tuple(check_lemma_h_images(module)),
     )
 
 
@@ -257,12 +255,11 @@ def test_criterion_7_psi_families_p101(capsys):
 
 
 def test_criterion_8_lemma_regressions(scan_p5, scan_p7):
-    """Structural checks return empty reports across both scan grids."""
+    """The h-image lemma returns empty reports across both scan grids."""
     for grid in (scan_p5, scan_p7):
         for key, s in grid.items():
             assert s.h_image_violations == (), (key, s.h_image_violations)
-            assert s.coupling_violations == (), (key, s.coupling_violations)
-    print("CRITERION 8 PASS: h-image and f-coupling checks empty on "
+    print("CRITERION 8 PASS: h-image lemma checks empty on "
           f"{len(scan_p5) + len(scan_p7)} grid points")
 
 

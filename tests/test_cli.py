@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from d21alpha import cli, cohomology, enveloping
-from d21alpha.algebra import build_algebra
+from d21alpha.algebra import E2, build_algebra
 from d21alpha.cli import main
 from d21alpha.cohomology import ConsistencyError, h1, psi_lambda
 from d21alpha.enveloping import VermaModule
@@ -28,6 +28,23 @@ def test_check_passes(capsys):
     code, _, err = run(capsys, "check", "--p", "5", "--alpha", "7", "--algebra-only")
     assert code == 0
     assert "check p=5 alpha=2: ok" in err
+
+
+def test_check_fails_a_broken_module_action(monkeypatch, capsys):
+    """A doubled rho(e2) breaks [e2, f2] = h2: exit 2, naming the identity."""
+    action_matrix = VermaModule.action_matrix
+
+    def doubled_e2(self, g):
+        mat = action_matrix(self, g)
+        return 2 * mat if g == E2 else mat
+
+    monkeypatch.setattr(VermaModule, "action_matrix", doubled_e2)
+    violation = "commutator identity fails for [e2,f2]"
+    assert violation in enveloping.verify_module_axioms(5, 2, (2, 3, 3), (0, 0, 0))
+    code, _, err = run(capsys, "check", "--p", "5", "--alpha", "2",
+                       "--lambda", "2,3,3")
+    assert code == 2
+    assert f"module axiom violation: {violation}" in err
 
 
 def test_check_rejects_bad_alpha(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from d21alpha.algebra import (
-    E1, E2, F1, GENERATOR_INDEX, H1, H3, PARITY, Y1, build_algebra,
+    E1, E2, F1, GENERATOR_INDEX, H1, H3, PARITY, X1, Y1, Y4, build_algebra,
     generator_weight, representation_defects,
 )
 from d21alpha.cohomology import h1
@@ -377,6 +377,16 @@ def test_representation_defects_flag_a_corrupted_action(module):
         assert len(gens) == 2
         a, b = gens
         assert E1 in gens or E1 in dict(alg.bracket_items[a][b])
+    # [x1, x1] = 0, so the pair (x1, x1) sees 2 rho(x1)^2 = 2 rho([x1, y4]) != 0
+    odd = list(mats)
+    odd[X1] = mats[X1] + mats[Y4]
+    flagged = [gens for gens, _ in representation_defects(alg, odd, module.chi)]
+    assert (X1, X1) in flagged
+    # rows rolled by 16 raise i3: e2 now lands off its target weight
+    shifted = list(mats)
+    shifted[E2] = mats[E2][np.roll(np.arange(module.dim), 16)]
+    flagged = [gens for gens, _ in representation_defects(alg, shifted, module.chi)]
+    assert (H3, E2) in flagged and (E2, H3) in flagged
 
 
 def test_restrictedness_f_power_matrix(module_chi):
