@@ -36,6 +36,20 @@ X1, X2, X3, X4, Y1, Y2, Y3, Y4 = range(9, 17)
 
 PARITY = (0,) * 9 + (1,) * 8
 
+GENERATING_SET = (E2, E3, F1, X4)
+"""Four generators whose brackets span D(2,1;alpha) for every admissible (p, alpha).
+
+From the bracket table:
+
+    x2 = [e2, x4],  x3 = [e3, x4],  x1 = [e2, x3],  y_i = [f1, x_i];
+    e1 = [x1, x4] / (2(1+alpha)),  f2 = -[x4, y3] / 2,  f3 = -[x4, y2] / (2 alpha);
+    h_k = [e_k, f_k].
+
+The only divisors are 2, alpha and 1+alpha, units for every p > 3 and alpha
+outside {0, -1} mod p.  `GradedLayout.equations` writes the derivation
+identity only on the pairs that hold one of these generators.
+"""
+
 
 def generator_weight(g: int) -> tuple[int, int, int]:
     """Weight of a generator as an integer triple (coefficients of eps_i)."""

@@ -11,9 +11,24 @@ derivations.  A 0-weight derivation sends each generator b into the 16-dim
 weight space M_{beta_b}, so per parity it is a vector of 17 x 8 = 136
 coordinates; the derivation identity becomes a small exact linear system.
 
+The system needs only the pairs that hold a member of a generating set.  Let
+
+    D(x, y) = phi([x,y]) - (-1)^{|phi||x|} x phi(y) + (-1)^{|y|(|phi|+|x|)} y phi(x).
+
+D is bilinear and super-antisymmetric, and by the super-Jacobi identity and
+the module axioms D([x,y], z) is a signed sum of x D(y,z), y D(x,z), z D(x,y),
+D([x,z], y) and D([y,z], x).  So the homogeneous x with D(x, .) = 0 span a
+subalgebra, and phi is a derivation once D(s, .) = 0 for each s of
+algebra.GENERATING_SET.  `GradedLayout.equations`, the system `h1` solves,
+is written on the 62 unordered pairs {a, b} with a or b in that set.
+`GradedLayout.identity` keeps all 153 pairs: `DerivationMap.defects` reads
+it, so every representative and psi family is checked against the whole
+identity.
+
 The ungraded oracle solves for the full derivation space without the
 0-weight restriction (17 unknown module vectors per parity) and cross-checks
-dim Der - dim Ider against the graded quotient.
+dim Der - dim Ider against the graded quotient.  It writes every pair, so it
+does not rest on the lemma above.
 """
 from __future__ import annotations
 
@@ -25,7 +40,7 @@ import numpy as np
 from . import linalg
 from .algebra import (
     E1, E2, E3, F2, F3, H1, H2, H3, X1, X2, X3, X4,
-    GENERATOR_NAMES, PARITY, build_algebra,
+    GENERATING_SET, GENERATOR_NAMES, PARITY, build_algebra,
 )
 # ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
@@ -36,6 +51,13 @@ from .enveloping import (
 # the theta codes of each monomial parity, and each code's slot among them
 _CODES = (J1_CODES, J3_CODES)
 _THETA_POS = tuple({c: i for i, c in enumerate(codes)} for codes in _CODES)
+
+# the unordered generator pairs a <= b in lexicographic order, and those of
+# them that hold a member of GENERATING_SET
+_PAIRS = tuple((a, b) for a in range(17) for b in range(a, 17))
+_GENERATOR_PAIRS = tuple(
+    (a, b) for a, b in _PAIRS if a in GENERATING_SET or b in GENERATING_SET
+)
 
 
 @dataclass
@@ -93,7 +115,7 @@ class GradedLayout:
 
     # -- the linear system -------------------------------------------------
 
-    def identity(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    def identity(self) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
         """The derivation identity of every unordered pair, as one linear map.
 
         pairs lists the 153 pairs a <= b in lexicographic order, and
@@ -102,44 +124,59 @@ class GradedLayout:
         8 theta codes of weight beta_a + beta_b and parity |a|+|b|+|phi|; the
         other 8 vanish by the parity grading.  [a,b] has parity |a|+|b|, so
         phi([a,b]) reads its coordinates as they are.  An even diagonal row
-        is 0 = 0, and an odd one reads 2 a.phi(a) = 0, as [a,a] = 0.  Cached
-        per module and parity.
+        is 0 = 0, and an odd one reads 2 a.phi(a) = 0, as [a,a] = 0.  This is
+        the whole identity, the one `DerivationMap.defects` checks; the
+        solved system is `equations`.  Cached per module and parity.
         """
-        return _cached(self.module, ("identity", self.parity), self._build_identity)
+        return _cached(self.module, ("identity", self.parity),
+                       lambda: (self._operator(_PAIRS), _PAIRS))
 
-    def _build_identity(self) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    def _operator(self, pairs) -> np.ndarray:
+        """The rows of identity() for the given pairs, shape (len(pairs), 8, 136).
+
+        Builds only the blocks those rows read: a from M_{beta_b} and b from
+        M_{beta_a} for each pair (a, b).
+        """
         module, par = self.module, self.parity
         alg = module.algebra
         odd = np.array(PARITY)
+        a, b = np.array(pairs).T
         # blocks[g, u] = g from M_{beta_u}; an even diagonal cancels in its own row
         blocks = np.zeros((17, 17, 16, 16), dtype=np.int64)
-        for g in range(17):
-            for u in range(17):
-                if g != u or odd[g]:
-                    blocks[g, u] = module.block(g, alg.weights[u])
-        # acts[g, u] = g.phi(u) on the row codes of the pair {g, u}
-        rows = np.array(_CODES)[(odd[:, None] + odd + par) % 2]
-        g, u = np.ogrid[:17, :17]
+        for g, u in sorted(set(pairs) | {(u, g) for g, u in pairs}):
+            if g != u or odd[g]:
+                blocks[g, u] = module.block(g, alg.weights[u])
+        # ab[e] = a.phi(b) and ba[e] = b.phi(a) on the row codes of pair e
+        rows = np.array(_CODES)[(odd[a] + odd[b] + par) % 2][:, :, None]
         thetas = np.array(self.thetas)
-        acts = blocks[g[..., None, None], u[..., None, None],
-                      rows[..., None], thetas[u][..., None, :]]
-        a, b = np.triu_indices(17)
+        ab = blocks[a[:, None, None], b[:, None, None], rows, thetas[b][:, None]]
+        ba = blocks[b[:, None, None], a[:, None, None], rows, thetas[a][:, None]]
         e = np.arange(len(a))
-        s1 = (-1) ** (par * odd)  # (-1)^{|phi||a|}
-        s2 = (-1) ** np.outer(par + odd, odd)  # (-1)^{|b|(|phi|+|a|)}
+        s1 = (-1) ** (par * odd[a])  # (-1)^{|phi||a|}
+        s2 = (-1) ** ((par + odd[a]) * odd[b])  # (-1)^{|b|(|phi|+|a|)}
         C = np.array([alg.ad_matrix(x) for x in range(17)])  # C[a, g, b]
         # phi([a,b]): c times the 8x8 identity on the columns of g, per term c.g
         L = C[a, :, b][:, None, :, None] * np.eye(8, dtype=np.int64)[:, None, :]
-        L[e, :, b] -= s1[a, None, None] * acts[a, b]
-        L[e, :, a] += s2[a, b, None, None] * acts[b, a]
+        L[e, :, b] -= s1[:, None, None] * ab
+        L[e, :, a] += s2[:, None, None] * ba
         L = L.reshape(len(e), 8, self.ncols) % module.p
         L.flags.writeable = False
-        return L, list(zip(a.tolist(), b.tolist()))
+        return L
 
     def equations(self) -> np.ndarray:
-        """Rows of the 0-weight derivation system: the nonzero rows of identity()."""
-        rows = self.identity()[0].reshape(-1, self.ncols)
-        return rows[rows.any(axis=1)]
+        """Rows of the 0-weight derivation system that `h1` solves.
+
+        The nonzero rows of the identity on the 62 pairs that hold a member
+        of GENERATING_SET (about 440 of 496): by the lemma of the module
+        docstring their kernel is that of all of identity().  Cached per
+        module and parity.
+        """
+
+        def build():
+            rows = self._operator(_GENERATOR_PAIRS).reshape(-1, self.ncols)
+            return rows[rows.any(axis=1)]
+
+        return _cached(self.module, ("equations", self.parity), build)
 
     def inner_vectors(self) -> np.ndarray:
         """One row per D_m, m a weight-0 basis monomial of this parity."""
@@ -252,7 +289,10 @@ def full_derivation_dims(module: VermaModule, parity: int) -> tuple[int, int]:
     each term c.g of [a,b], and signed parity-column slices of the action
     matrices of a and b.  The system splits into column-connected components
     that are eliminated exactly; its kernel dimension is the derivation-space
-    dimension.  Feasible sizes only: refuses p > ORACLE_MAX_P.
+    dimension.  It writes every pair, where `GradedLayout.equations` writes
+    only the pairs of GENERATING_SET: an oracle that shared that lemma could
+    not catch a fault in it, or in the set.  Feasible sizes only: refuses
+    p > ORACLE_MAX_P.
     """
     import scipy.sparse as sp  # only the oracle builds whole-module systems
 

@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from d21alpha import linalg
 from d21alpha.algebra import (
-    E1, F1, F2, F3, GENERATOR_INDEX, GENERATOR_NAMES, H1, PARITY, X1, X3, Y2,
-    Y3, Y4, build_algebra, generator_weight,
+    E1, F1, F2, F3, GENERATING_SET, GENERATOR_INDEX, GENERATOR_NAMES, H1,
+    PARITY, X1, X3, Y2, Y3, Y4, build_algebra, generator_weight,
 )
 
 # Hand transcription of every nonzero generator bracket, independent of the
@@ -254,3 +255,33 @@ def test_bracket_json_dump(alg):
     assert dump["p"] == 5 and dump["alpha"] == 2
     entry = next(x for x in dump["pairs"] if x["a"] == "x1" and x["b"] == "y4")
     assert entry["value"] == {"h1": 2, "h2": 1, "h3": 2}
+
+
+def _generated_dimension(alg, gens) -> int:
+    """Dimension of the subalgebra that the generators gens span under brackets."""
+    p = alg.p
+    C = np.array([alg.ad_matrix(a) for a in range(17)])  # C[a, g, b]
+    V = np.eye(17, dtype=np.int64)[list(gens)]
+    while True:
+        # [u, v]_g = sum_a u_a (ad(a) v)_g, reduced after each sum of products
+        ad_v = np.einsum("agb,jb->jag", C, V) % p
+        brackets = np.einsum("ia,jag->ijg", V, ad_v) % p
+        grown = linalg.rref(np.vstack([V, brackets.reshape(-1, 17)]), p)[0]
+        if len(grown) == len(V):
+            return len(V)
+        V = grown
+
+
+@pytest.mark.parametrize("p,alphas", [
+    (5, range(1, 4)), (7, range(1, 6)), (11, range(1, 10)), (13, range(1, 12)),
+    (101, random.Random(101).sample(range(1, 100), 6)),
+    (10_000_019, random.Random(7).sample(range(1, 10_000_018), 6)),
+])
+def test_generating_set_spans_the_algebra(p, alphas):
+    for alpha in alphas:
+        alg = build_algebra(p, alpha)
+        assert _generated_dimension(alg, GENERATING_SET) == 17, alpha
+        # and no three of them do
+        for k in range(4):
+            rest = GENERATING_SET[:k] + GENERATING_SET[k + 1:]
+            assert _generated_dimension(alg, rest) < 17, (alpha, rest)

@@ -433,6 +433,9 @@ PINNED_OUTPUTS = [
     # the oracle's absolute dims (der, ider) per parity, not only their difference
     (["h1", "--p", "5", "--alpha", "2", "--lambda", "2,3,3", "--method", "both"],
      "235d26793bac7c51108cd5c3679fd0b6081b034886ce6f13d24e2c45e11da417"),
+    # every point of p=5: guards the CSV against any change to the solved rows
+    (["scan", "--p", "5", "--alpha", "all", "--lambda", "all"],
+     "07ae4265bff561b9c4f5031249067c8147510795a61e1aa2c50b77035ec9536e"),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -400,6 +401,38 @@ def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
                 assert (values[e] == by_pair[a, b][codes[rows]]).all()
                 assert not by_pair[a, b][codes[1 - rows]].any()
     assert found  # the perturbed maps do fail the identity somewhere
+
+
+def _assert_generator_pairs_suffice(module):
+    """The kernel of equations() against that of every nonzero identity() row."""
+    p = module.p
+    for parity in (0, 1):
+        layout = GradedLayout(module, parity)
+        rows = layout.identity()[0].reshape(-1, layout.ncols)
+        whole = linalg.kernel_basis(rows[rows.any(axis=1)], p)
+        assert np.array_equal(linalg.kernel_basis(layout.equations(), p), whole), (
+            p, module.lam, module.chi, parity,
+        )
+
+
+@pytest.mark.parametrize("chi", [(0, 0, 0), (1, 0, 3)])
+def test_generator_pairs_suffice_on_a_whole_slice(alg, chi):
+    action = ActionSlice(alg, chi)
+    for lam in itertools.product(range(P), repeat=3):
+        _assert_generator_pairs_suffice(action.module(lam))
+
+
+@pytest.mark.parametrize("p,alpha", [
+    (7, 3), (13, 2), (31, 5), (101, 7), (10_000_019, 2),
+])
+def test_generator_pairs_suffice_at_psi_and_random_lambda(p, alpha):
+    rng = random.Random(p)
+    alg = build_algebra(p, alpha)
+    points = [(psi_lambda(which, p), (0, 0, 0)) for which in (1, 2, 3, 4)]
+    for chi in ((0, 0, 0), tuple(rng.randrange(p) for _ in range(3))):
+        points.append((tuple(rng.randrange(p) for _ in range(3)), chi))
+    for lam, chi in points:
+        _assert_generator_pairs_suffice(VermaModule(alg, lam, chi))
 
 
 def test_psi_zero_extension_failure_names_a_pair(alg, monkeypatch, capsys):

@@ -286,14 +286,18 @@ def test_rref_equals_the_reference_on_rank_20_matrices(p, seed):
 def test_rref_equals_the_reference_on_graded_systems(p, alpha, lam, chi):
     module = VermaModule(build_algebra(p, alpha), lam, chi)
     for parity in (0, 1):
-        system = GradedLayout(module, parity).equations()
-        assert _same_rref(system, p)
-        E0, piv0 = _rref_reference(system, p)
-        reference_kernel = rref(
-            linalg._kernel_from_rref(E0, piv0, system.shape[1], p), p
-        )[0]
-        assert np.array_equal(kernel_basis(system, p), reference_kernel)
-        assert not (system @ reference_kernel.T % p).any()
+        layout = GradedLayout(module, parity)
+        rows = layout.identity()[0].reshape(-1, layout.ncols)
+        # the ~440 generator-pair rows h1 solves, and the ~1,050 nonzero rows
+        # of the whole identity: the tall shape of the oracle's components
+        for system in (layout.equations(), rows[rows.any(axis=1)]):
+            assert _same_rref(system, p)
+            E0, piv0 = _rref_reference(system, p)
+            reference_kernel = rref(
+                linalg._kernel_from_rref(E0, piv0, system.shape[1], p), p
+            )[0]
+            assert np.array_equal(kernel_basis(system, p), reference_kernel)
+            assert not (system @ reference_kernel.T % p).any()
 
 
 # 2^31 - 1, and the largest prime p with (p - 1)^2 < 2^63: every product of
