@@ -39,15 +39,23 @@ PARITY = (0,) * 9 + (1,) * 8
 GENERATING_SET = (E2, E3, F1, X4)
 """Four generators whose brackets span D(2,1;alpha) for every admissible (p, alpha).
 
-From the bracket table:
+GENERATING_CHAIN reaches the other 13 from them.  Its brackets' coefficients
+are 1, 2(1+alpha) (e1), -2 (f2) and -2 alpha (f3), so the only divisors are
+2, alpha and 1+alpha: units for every p > 3 and alpha outside {0, -1} mod p.  `GradedLayout.equations` writes the derivation
+identity only on the pairs that hold one of these generators, and solves it
+in their 32 coordinates.
+"""
 
-    x2 = [e2, x4],  x3 = [e3, x4],  x1 = [e2, x3],  y_i = [f1, x_i];
-    e1 = [x1, x4] / (2(1+alpha)),  f2 = -[x4, y3] / 2,  f3 = -[x4, y2] / (2 alpha);
-    h_k = [e_k, f_k].
+GENERATING_CHAIN = (
+    (X2, E2, X4), (X3, E3, X4), (X1, E2, X3),
+    (Y1, F1, X1), (Y2, F1, X2), (Y3, F1, X3), (Y4, F1, X4),
+    (E1, X1, X4), (F2, X4, Y3), (F3, X4, Y2),
+    (H1, E1, F1), (H2, E2, F2), (H3, E3, F3),
+)
+"""(g, a, b) steps, in order, that reach each generator outside GENERATING_SET.
 
-The only divisors are 2, alpha and 1+alpha, units for every p > 3 and alpha
-outside {0, -1} mod p.  `GradedLayout.equations` writes the derivation
-identity only on the pairs that hold one of these generators.
+[a, b] = c g with c a unit, and a and b lie in GENERATING_SET or are an
+earlier step's g.  Every pair {a, b} holds a member of the set.
 """
 
 
@@ -255,34 +263,6 @@ class SuperAlgebra:
                     for c in cols
                 )
         return out
-
-    def with_perturbed_bracket(
-        self, a: int | str, b: int | str, g: int | str, delta: int
-    ) -> "SuperAlgebra":
-        """Copy with [a,b] perturbed by delta*g (antisymmetry-closed).
-
-        Validation helper: a perturbed table must trip check_axioms.
-        """
-        if isinstance(a, str):
-            a = GENERATOR_INDEX[a]
-        if isinstance(b, str):
-            b = GENERATOR_INDEX[b]
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
-        p = self.p
-        clone = SuperAlgebra(p, self.alpha)
-        rows = [[dict(cell) for cell in row] for row in clone.bracket_items]
-        entry = dict(clone.bracket_items[a][b])
-        entry[g] = (entry.get(g, 0) + delta) % p
-        entry = {k: v for k, v in entry.items() if v}
-        sign = 1 if PARITY[a] and PARITY[b] else -1
-        rows[a][b] = entry
-        rows[b][a] = {k: sign * v % p for k, v in entry.items()}
-        clone.bracket_items = tuple(
-            tuple(tuple(sorted(rows[i][j].items())) for j in range(17))
-            for i in range(17)
-        )
-        return clone
 
     # -- debug dump ----------------------------------------------------------
 

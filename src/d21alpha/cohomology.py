@@ -19,16 +19,24 @@ D is bilinear and super-antisymmetric, and by the super-Jacobi identity and
 the module axioms D([x,y], z) is a signed sum of x D(y,z), y D(x,z), z D(x,y),
 D([x,z], y) and D([y,z], x).  So the homogeneous x with D(x, .) = 0 span a
 subalgebra, and phi is a derivation once D(s, .) = 0 for each s of
-algebra.GENERATING_SET.  `GradedLayout.equations`, the system `h1` solves,
-is written on the 62 unordered pairs {a, b} with a or b in that set.
-`GradedLayout.identity` keeps all 153 pairs: `DerivationMap.defects` reads
-it, so every representative and psi family is checked against the whole
-identity.
+algebra.GENERATING_SET.
+
+Nor are all 136 coordinates unknown.  Each step (g, a, b) of
+algebra.GENERATING_CHAIN, [a, b] = c g, solves D(a, b) = 0 for phi(g), so a
+derivation is fixed by its 32 coordinates on the set: phi = T x for the
+per-parity map T of `GradedLayout.chain_map` (136 x 32).
+`GradedLayout.equations`, the system `h1` solves, is the identity on the 62
+unordered pairs {a, b} with a or b in the set, written in those 32 unknowns:
+its kernel K gives the 0-weight derivations as T K.  Its rows on the 13 chain
+pairs vanish exactly when T solves its own chain, and `equations` checks
+that.  `GradedLayout.identity` keeps all 153 pairs in the 136 coordinates:
+`DerivationMap.defects` reads it, so every representative and psi family is
+checked against the whole identity.
 
 The ungraded oracle solves for the full derivation space without the
 0-weight restriction (17 unknown module vectors per parity) and cross-checks
-dim Der - dim Ider against the graded quotient.  It writes every pair, so it
-does not rest on the lemma above.
+dim Der - dim Ider against the graded quotient.  It writes every pair in
+every coordinate, so it rests on neither the lemma nor the chain above.
 """
 from __future__ import annotations
 
@@ -40,7 +48,7 @@ import numpy as np
 from . import linalg
 from .algebra import (
     E1, E2, E3, F2, F3, H1, H2, H3, X1, X2, X3, X4,
-    GENERATING_SET, GENERATOR_NAMES, PARITY, build_algebra,
+    GENERATING_CHAIN, GENERATING_SET, GENERATOR_NAMES, PARITY, build_algebra,
 )
 # ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
@@ -58,6 +66,11 @@ _PAIRS = tuple((a, b) for a in range(17) for b in range(a, 17))
 _GENERATOR_PAIRS = tuple(
     (a, b) for a, b in _PAIRS if a in GENERATING_SET or b in GENERATING_SET
 )
+_CHAIN_PAIRS = tuple((a, b) for _, a, b in GENERATING_CHAIN)
+# where the chain pairs sit among the generator pairs
+_CHAIN_ROWS = [_GENERATOR_PAIRS.index(tuple(sorted(q))) for q in _CHAIN_PAIRS]
+# phi(g)'s coordinates in the 136 graded coordinates themselves
+_UNIT = np.eye(17 * 8, dtype=np.int64).reshape(17, 8, 17 * 8)
 
 
 @dataclass
@@ -129,13 +142,22 @@ class GradedLayout:
         solved system is `equations`.  Cached per module and parity.
         """
         return _cached(self.module, ("identity", self.parity),
-                       lambda: (self._operator(_PAIRS), _PAIRS))
+                       lambda: (self._operator(_PAIRS, _UNIT), _PAIRS))
 
-    def _operator(self, pairs) -> np.ndarray:
-        """The rows of identity() for the given pairs, shape (len(pairs), 8, 136).
+    def _operator(self, pairs, coords) -> np.ndarray:
+        """The identity's rows on the given pairs, in the unknowns of coords.
 
-        Builds only the blocks those rows read: a from M_{beta_b} and b from
-        M_{beta_a} for each pair (a, b).
+        coords[g] (coords has shape (17, 8, n)) gives phi(g) on its 8 codes
+        in n unknowns.  Row e of the result, shape (len(pairs), 8, n), is
+        the identity of (a, b) = pairs[e] in them: c coords[g] for each term
+        c.g of [a,b], minus s1 times the 8x8 slice of a times coords[b], plus
+        s2 times that of b times coords[a], one einsum per term.
+        identity() and chain_map() pass the unit coordinates (n = 136),
+        equations() the chain map T (n = 32).  Builds only the blocks those
+        rows read: a from M_{beta_b} and b from M_{beta_a} for each pair.
+        With coords, blocks and brackets reduced mod p, an entry sums at
+        most 17 + 2*8 products below p^2 before its reduction, inside the
+        136 (p-1)^2 < 2^63 that `linalg.reduce` and `defects` already need.
         """
         module, par = self.module, self.parity
         alg = module.algebra
@@ -151,29 +173,56 @@ class GradedLayout:
         thetas = np.array(self.thetas)
         ab = blocks[a[:, None, None], b[:, None, None], rows, thetas[b][:, None]]
         ba = blocks[b[:, None, None], a[:, None, None], rows, thetas[a][:, None]]
-        e = np.arange(len(a))
-        s1 = (-1) ** (par * odd[a])  # (-1)^{|phi||a|}
-        s2 = (-1) ** ((par + odd[a]) * odd[b])  # (-1)^{|b|(|phi|+|a|)}
+        s1, s2 = _signs(par, a, b)
         C = np.array([alg.ad_matrix(x) for x in range(17)])  # C[a, g, b]
-        # phi([a,b]): c times the 8x8 identity on the columns of g, per term c.g
-        L = C[a, :, b][:, None, :, None] * np.eye(8, dtype=np.int64)[:, None, :]
-        L[e, :, b] -= s1[:, None, None] * ab
-        L[e, :, a] += s2[:, None, None] * ba
-        L = L.reshape(len(e), 8, self.ncols) % module.p
+        L = np.einsum("eg,gin->ein", C[a, :, b], coords)
+        L -= np.einsum("eij,ejn->ein", s1[:, None, None] * ab, coords[b])
+        L += np.einsum("eij,ejn->ein", s2[:, None, None] * ba, coords[a])
+        L %= module.p
         L.flags.writeable = False
         return L
+
+    def chain_map(self) -> np.ndarray:
+        """T, shape (17, 8, 32): each phi(g) in phi's values on GENERATING_SET.
+
+        Unknown 8k + i is coordinate i of the set's k-th member s, so T[s] is
+        a unit block.  Step (g, a, b) of GENERATING_CHAIN reads the row of
+        the pair (a, b) in the 136 coordinates, c phi(g) + A phi(a) + B phi(b),
+        and sets T[g] = -(A T[a] + B T[b]) / c, the sum of 16 products below
+        p^2 reduced before it is scaled.  Cached per module and parity.
+        """
+
+        def build():
+            p = self.module.p
+            T = np.zeros((17, 8, 8 * len(GENERATING_SET)), dtype=np.int64)
+            for k, s in enumerate(GENERATING_SET):
+                T[s, :, 8 * k:8 * k + 8] = np.eye(8, dtype=np.int64)
+            rows = self._operator(_CHAIN_PAIRS, _UNIT).reshape(-1, 8, 17, 8)
+            brackets = self.module.algebra.bracket_items
+            for (g, a, b), L in zip(GENERATING_CHAIN, rows):
+                inverse = pow(dict(brackets[a][b])[g], p - 2, p)
+                T[g] = -(L[:, a] @ T[a] + L[:, b] @ T[b]) % p * inverse % p
+            T.flags.writeable = False
+            return T
+
+        return _cached(self.module, ("chain", self.parity), build)
 
     def equations(self) -> np.ndarray:
         """Rows of the 0-weight derivation system that `h1` solves.
 
         The nonzero rows of the identity on the 62 pairs that hold a member
-        of GENERATING_SET (about 440 of 496): by the lemma of the module
-        docstring their kernel is that of all of identity().  Cached per
-        module and parity.
+        of GENERATING_SET, in the 32 unknowns of chain_map() (184-364 rows
+        over the p=5, alpha=2 slice): by the module docstring, T times their kernel is that of all
+        of identity().  Raises ConsistencyError unless the rows of the 13
+        chain pairs vanish, which holds exactly when T solves its chain.
+        Cached per module and parity.
         """
 
         def build():
-            rows = self._operator(_GENERATOR_PAIRS).reshape(-1, self.ncols)
+            L = self._operator(_GENERATOR_PAIRS, self.chain_map())
+            if L[_CHAIN_ROWS].any():
+                raise ConsistencyError("the chain map fails the identity of its pairs")
+            rows = L.reshape(-1, L.shape[2])
             return rows[rows.any(axis=1)]
 
         return _cached(self.module, ("equations", self.parity), build)
@@ -190,6 +239,12 @@ class GradedLayout:
         return vecs % module.p
 
 
+def _signs(parity: int, a, b):
+    """(s1, s2) = ((-1)^{|phi||a|}, (-1)^{|b|(|phi|+|a|)}) of the pairs (a, b)."""
+    odd = np.array(PARITY)
+    return (-1) ** (parity * odd[a]), (-1) ** ((parity + odd[a]) * odd[b])
+
+
 def _cached(module: VermaModule, key, build):
     """build() once per module and key: the one cache of the graded layer."""
     cache = module.__dict__.setdefault("_graded_cache", {})
@@ -199,12 +254,18 @@ def _cached(module: VermaModule, key, build):
 
 
 def graded_spaces(module: VermaModule, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """(0-weight derivation kernel, inner span) as RREF arrays, cached per module."""
+    """(0-weight derivation kernel, inner span) as RREF arrays, cached per module.
+
+    Both are in the 136 graded coordinates: the kernel of equations() is
+    solved in 32 unknowns and lifted by the chain map.
+    """
 
     def build():
+        p = module.p
         layout = GradedLayout(module, parity)
-        kernel = linalg.kernel_basis(layout.equations(), module.p)
-        return kernel, linalg.rref(layout.inner_vectors(), module.p)[0]
+        T = layout.chain_map().reshape(layout.ncols, -1)
+        kernel = linalg.kernel_basis(layout.equations(), p) @ T.T
+        return linalg.rref(kernel, p)[0], linalg.rref(layout.inner_vectors(), p)[0]
 
     return _cached(module, ("spaces", parity), build)
 

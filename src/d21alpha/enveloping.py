@@ -57,8 +57,8 @@ import numpy as np
 
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4, Y1, Y2, Y3, Y4,
-    GENERATOR_INDEX, GENERATOR_NAMES, PARITY, SuperAlgebra, build_algebra,
-    representation_defects,
+    GENERATING_CHAIN, GENERATOR_INDEX, GENERATOR_NAMES, PARITY, SuperAlgebra,
+    build_algebra, representation_defects,
 )
 
 # Straightening order: the PBW segment first, then the generators eliminated
@@ -128,9 +128,9 @@ Y_WORDS = tuple(
     tuple(Y1 + k for k, jk in enumerate(theta_tuple(c)) if jk) for c in range(16)
 )
 
-# Generators whose blocks are commutators of other generators' blocks:
-#   x3 = [e3, x4],  x2 = [e2, x4],  x1 = [e2, x3],  e1 = [x1, x4]/(2(1+alpha)).
-DERIVED_GENS = {X3: (E3, X4), X2: (E2, X4), X1: (E2, X3), E1: (X1, X4)}
+# Generators whose blocks are commutators of other generators' blocks: the
+# steps of GENERATING_CHAIN that reach x2, x3, x1 and e1.
+DERIVED_GENS = {g: (a, b) for g, a, b in GENERATING_CHAIN if g in (X1, X2, X3, E1)}
 
 
 class VermaModule:
@@ -436,14 +436,13 @@ class VermaModule:
             ], dtype=np.int64))
         elif g in DERIVED_GENS:
             a, b = DERIVED_GENS[g]
-            # odd-odd commutator for e1 = [x1,x4]; even-odd for the x's
-            sign = 1 if g == E1 else -1
+            # [a, b] = c g: odd-odd for e1 = [x1,x4], even-odd for the x's
+            sign = 1 if PARITY[a] and PARITY[b] else -1
             B = self.block(a, self._shifted(beta, b)) @ self.block(b, beta) + sign * (
                 self.block(b, self._shifted(beta, a)) @ self.block(a, beta)
             )
-            B %= p
-            if g == E1:
-                B = B * pow(2 * (1 + self.algebra.alpha), p - 2, p) % p
+            c = dict(self.algebra.bracket_items[a][b])[g]
+            B = B % p * pow(c, p - 2, p) % p
         else:
             target = self._shifted(beta, g)
             sources, space = self.weight_basis(beta), self.weight_basis(target)

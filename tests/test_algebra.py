@@ -5,9 +5,11 @@ import pytest
 
 from d21alpha import linalg
 from d21alpha.algebra import (
-    E1, F1, F2, F3, GENERATING_SET, GENERATOR_INDEX, GENERATOR_NAMES, H1,
-    PARITY, X1, X3, Y2, Y3, Y4, build_algebra, generator_weight,
+    E1, F1, F2, F3, GENERATING_CHAIN, GENERATING_SET, GENERATOR_INDEX,
+    GENERATOR_NAMES, H1, PARITY, X1, X3, Y2, Y3, Y4, build_algebra,
+    generator_weight,
 )
+from helpers import with_perturbed_bracket
 
 # Hand transcription of every nonzero generator bracket, independent of the
 # build code.  Coefficients are (c0, c1) meaning c0 + c1*alpha.
@@ -214,7 +216,7 @@ def weight_pairs(algebra):
     ids=["x1-y4-h1-1", "e2-f2-f1-1", "x2-y3-h3-2"],
 )
 def test_check_axioms_flags_perturbed_table(p, alpha, perturbation, jacobi_count):
-    broken = build_algebra(p, alpha).with_perturbed_bracket(*perturbation)
+    broken = with_perturbed_bracket(build_algebra(p, alpha), *perturbation)
     found = [(v.kind, v.generators) for v in broken.check_axioms()]
     jacobi = cyclic_jacobi_triples(broken)
     assert len(jacobi) == jacobi_count
@@ -285,3 +287,18 @@ def test_generating_set_spans_the_algebra(p, alphas):
         for k in range(4):
             rest = GENERATING_SET[:k] + GENERATING_SET[k + 1:]
             assert _generated_dimension(alg, rest) < 17, (alpha, rest)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_generating_chain_reaches_every_generator_once(p):
+    """Each chain step is one bracket of known generators onto a unit multiple."""
+    reached = list(GENERATING_SET) + [g for g, _, _ in GENERATING_CHAIN]
+    assert sorted(reached) == list(range(17))
+    for alpha in range(1, p - 1):
+        alg = build_algebra(p, alpha)
+        known = set(GENERATING_SET)
+        for g, a, b in GENERATING_CHAIN:
+            assert a in known and b in known, (alpha, GENERATOR_NAMES[g])
+            (term,) = alg.bracket_items[a][b]
+            assert term[0] == g and term[1] % p, (alpha, GENERATOR_NAMES[g])
+            known.add(g)

@@ -7,7 +7,7 @@ import pytest
 
 from d21alpha import cohomology, linalg
 from d21alpha.algebra import (
-    F1, GENERATOR_INDEX, GENERATOR_NAMES, H1, H3, PARITY, Y1, build_algebra,
+    F1, GENERATOR_INDEX, GENERATOR_NAMES, H1, H3, PARITY, X2, Y1, build_algebra,
 )
 from d21alpha.cli import main
 from d21alpha.cohomology import (
@@ -145,26 +145,31 @@ def test_h1_representatives_are_verified_outer_classes(m233):
         assert linalg.reduce(inner, rep.coords, P).any()
 
 
+def _graded_systems(module):
+    """The even 184 x 32 system h1 solves, and the 894 x 136 whole identity."""
+    layout = GradedLayout(module, 0)
+    rows = layout.identity()[0].reshape(-1, layout.ncols)
+    return layout.equations(), rows[rows.any(axis=1)]
+
+
 def test_h1_invariant_under_equation_row_permutation(m233):
-    layout = GradedLayout(m233, 0)
-    system = layout.equations()
-    reference = linalg.kernel_basis(system, P)
-    for seed in (1, 2):
-        perm = np.random.default_rng(seed).permutation(system.shape[0])
-        assert np.array_equal(linalg.kernel_basis(system[perm], P), reference)
+    for system in _graded_systems(m233):
+        reference = linalg.kernel_basis(system, P)
+        for seed in (1, 2):
+            perm = np.random.default_rng(seed).permutation(system.shape[0])
+            assert np.array_equal(linalg.kernel_basis(system[perm], P), reference)
 
 
 def test_h1_invariant_under_unknown_permutation(m233):
-    layout = GradedLayout(m233, 0)
-    system = layout.equations()
-    reference = linalg.kernel_basis(system, P)
-    for seed in (3, 4):
-        perm = np.random.default_rng(seed).permutation(system.shape[1])
-        permuted = linalg.kernel_basis(system[:, perm], P)
-        assert permuted.shape == reference.shape
-        restored = np.zeros_like(permuted)
-        restored[:, perm] = permuted
-        assert np.array_equal(linalg.rref(restored, P)[0], reference)
+    for system in _graded_systems(m233):
+        reference = linalg.kernel_basis(system, P)
+        for seed in (3, 4):
+            perm = np.random.default_rng(seed).permutation(system.shape[1])
+            permuted = linalg.kernel_basis(system[:, perm], P)
+            assert permuted.shape == reference.shape
+            restored = np.zeros_like(permuted)
+            restored[:, perm] = permuted
+            assert np.array_equal(linalg.rref(restored, P)[0], reference)
 
 
 def test_h1_json_round_trips_deterministically(m233):
@@ -404,13 +409,18 @@ def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
 
 
 def _assert_generator_pairs_suffice(module):
-    """The kernel of equations() against that of every nonzero identity() row."""
+    """The lifted kernel of equations() against that of every identity() row.
+
+    graded_spaces solves the generator pairs in the 32 coordinates of the
+    generating set and lifts the kernel by the chain map, so this checks the
+    generator-pair lemma and the chain together.
+    """
     p = module.p
     for parity in (0, 1):
         layout = GradedLayout(module, parity)
         rows = layout.identity()[0].reshape(-1, layout.ncols)
         whole = linalg.kernel_basis(rows[rows.any(axis=1)], p)
-        assert np.array_equal(linalg.kernel_basis(layout.equations(), p), whole), (
+        assert np.array_equal(graded_spaces(module, parity)[0], whole), (
             p, module.lam, module.chi, parity,
         )
 
@@ -433,6 +443,51 @@ def test_generator_pairs_suffice_at_psi_and_random_lambda(p, alpha):
         points.append((tuple(rng.randrange(p) for _ in range(3)), chi))
     for lam, chi in points:
         _assert_generator_pairs_suffice(VermaModule(alg, lam, chi))
+
+
+# Mutation checks: one fault each, and the check that must catch it.
+
+
+@pytest.mark.parametrize("g", [H1, X2], ids=["h-step", "x-step"])
+def test_a_wrong_chain_step_raises(alg, monkeypatch, g):
+    """Doubling one step of T: the chain-pair rows of equations() catch it.
+
+    At psi1's point a doubled h step keeps the inner span inside the lifted
+    kernel and leaves sdim (5, 0); only the chain rows see it.
+    """
+    original = GradedLayout.chain_map
+
+    def doubled(self):
+        T = original(self).copy()
+        T[g] = 2 * T[g] % self.module.p
+        return T
+
+    monkeypatch.setattr(GradedLayout, "chain_map", doubled)
+    with pytest.raises(ConsistencyError, match="chain map"):
+        h1(VermaModule(alg, psi_lambda(1, P), (0, 0, 0)))
+
+
+def test_a_sign_fault_in_the_identity_disagrees_with_the_oracle(alg, monkeypatch):
+    """Flipping s2 in the one builder moves T and the system together.
+
+    The chain rows still vanish, as T comes from the same builder, but the
+    graded dimensions are wrong: the ungraded oracle, which writes its own
+    signs, disagrees with them.  h1 itself raises, because the inner
+    derivations leave the kernel.
+    """
+    original = cohomology._signs
+
+    def flipped(parity, a, b):
+        s1, s2 = original(parity, a, b)
+        return s1, -s2
+
+    monkeypatch.setattr(cohomology, "_signs", flipped)
+    module = VermaModule(alg, psi_lambda(1, P), (0, 0, 0))
+    kernel, inner = graded_spaces(module, 0)
+    der, ider = full_derivation_dims(module, 0)
+    assert len(kernel) - len(inner) != der - ider
+    with pytest.raises(ConsistencyError, match="inner derivations"):
+        h1(module)
 
 
 def test_psi_zero_extension_failure_names_a_pair(alg, monkeypatch, capsys):

@@ -15,6 +15,7 @@ from d21alpha.enveloping import (
     decode, encode, monomial_parity, monomial_weight, theta_tuple,
     verify_module_axioms,
 )
+from helpers import with_perturbed_bracket
 
 P = 5
 ALPHA = 2
@@ -346,7 +347,7 @@ def test_slice_lanes_stay_below_their_bound():
 
 def test_block_rejects_action_leaving_its_weight_space(alg):
     # [e2, f2] = h2 + f1: e2 f2 v now has an f1 v term of the wrong weight
-    broken = VermaModule(alg.with_perturbed_bracket("e2", "f2", "f1", 1), LAM,
+    broken = VermaModule(with_perturbed_bracket(alg, "e2", "f2", "f1", 1), LAM,
                          (0, 0, 0))
     f2v = encode(0, 1, 0, 0b0000, P)
     with pytest.raises(ConsistencyError, match="outside the weight"):

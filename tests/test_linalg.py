@@ -288,8 +288,9 @@ def test_rref_equals_the_reference_on_graded_systems(p, alpha, lam, chi):
     for parity in (0, 1):
         layout = GradedLayout(module, parity)
         rows = layout.identity()[0].reshape(-1, layout.ncols)
-        # the ~440 generator-pair rows h1 solves, and the ~1,050 nonzero rows
-        # of the whole identity: the tall shape of the oracle's components
+        # the 184-364 generator-pair rows in 32 unknowns that h1 solves, and
+        # the ~1,000 nonzero rows of the whole identity in 136: the tall shape
+        # of the oracle's components
         for system in (layout.equations(), rows[rows.any(axis=1)]):
             assert _same_rref(system, p)
             E0, piv0 = _rref_reference(system, p)
