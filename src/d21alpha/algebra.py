@@ -16,6 +16,7 @@ e_i, f_i -> 0 on the even part.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -88,8 +89,8 @@ class AxiomViolation:
 class SuperAlgebra:
     """D(2,1;alpha) with its bracket tensor, weights and p-mapping.
 
-    Immutable after construction (``crossing_terms`` only memoizes); safe to
-    share across threads/processes.
+    Immutable after construction (``ad`` and ``crossing_terms`` only
+    memoize); safe to share across threads/processes.
     """
 
     def __init__(self, p: int, alpha: int):
@@ -171,13 +172,20 @@ class SuperAlgebra:
 
     # -- operations --------------------------------------------------------
 
-    def ad_matrix(self, g: int) -> np.ndarray:
-        """Matrix of ad(g) on the 17-dimensional adjoint representation."""
-        m = np.zeros((17, 17), dtype=np.int64)
-        for b in range(17):
-            for out, c in self.bracket_items[g][b]:
-                m[out, b] = c
-        return m
+    @functools.cached_property
+    def ad(self) -> np.ndarray:
+        """The bracket tensor: ad[a, g, b] is the coefficient of g in [a, b].
+
+        Read-only (17, 17, 17) int64, built from ``bracket_items`` on first
+        use, so ad[a] is the matrix of ad(a) on the adjoint representation.
+        """
+        ad = np.zeros((17, 17, 17), dtype=np.int64)
+        for a, row in enumerate(self.bracket_items):
+            for b, items in enumerate(row):
+                for g, c in items:
+                    ad[a, g, b] = c
+        ad.flags.writeable = False
+        return ad
 
     def crossing_terms(self, g: int, k: int, i: int) -> tuple:
         """The terms of g f^i = sum_j C(i, j) f^(i-j) D^j(g), with f = f_{k+1}.
@@ -244,8 +252,7 @@ class SuperAlgebra:
                                 f"component {names[g]} outside weight {wab}",
                             )
                         )
-        ad = [self.ad_matrix(g) for g in range(17)]
-        for gens, cols in representation_defects(self, ad, (0, 0, 0)):
+        for gens, cols in representation_defects(self, self.ad, (0, 0, 0)):
             labels = tuple(names[g] for g in gens)
             if len(gens) == 1:
                 out.append(

@@ -29,8 +29,8 @@ per-parity map T of `GradedLayout.chain_map` (136 x 32).
 unordered pairs {a, b} with a or b in the set, written in those 32 unknowns:
 its kernel K gives the 0-weight derivations as T K.  Its rows on the 13 chain
 pairs vanish exactly when T solves its own chain, and `equations` checks
-that.  `GradedLayout.identity` keeps all 153 pairs in the 136 coordinates:
-`DerivationMap.defects` reads it, so every representative and psi family is
+that.  `DerivationMap.defects` evaluates the same builder on all 153 pairs
+at the map's own coordinates, so every representative and psi family is
 checked against the whole identity.
 
 The ungraded oracle solves for the full derivation space without the
@@ -88,15 +88,18 @@ class DerivationMap:
     def defects(self, module: VermaModule) -> list[tuple[str, str]]:
         """Ordered generator pairs violating the derivation identity.
 
-        Reads the identity of each unordered pair {a,b} off
-        GradedLayout.identity() and lists a failing pair in both orders,
-        sorted: with eps = -(-1)^{|a||b|}, [b,a] = eps [a,b] and the identity
-        of (b,a) is eps times that of (a,b).
+        Evaluates the identity of all 153 unordered pairs {a,b} at this map:
+        the one builder, GradedLayout._operator, with phi's coordinates as
+        its single unknown.  A pair fails where one of its 8 values is
+        nonzero, and is listed in both orders, sorted: with
+        eps = -(-1)^{|a||b|}, [b,a] = eps [a,b] and the identity of (b,a) is
+        eps times that of (a,b).
         """
-        L, pairs = GradedLayout(module, self.parity).identity()
-        failing = (L @ self.coords % module.p).any(axis=1)
+        phi = (self.coords % module.p).reshape(17, 8, 1)
+        values = GradedLayout(module, self.parity)._operator(_PAIRS, phi)
+        failing = values.any(axis=(1, 2))
         ordered = sorted(
-            {q for (a, b), bad in zip(pairs, failing) if bad for q in ((a, b), (b, a))}
+            {q for (a, b), bad in zip(_PAIRS, failing) if bad for q in ((a, b), (b, a))}
         )
         return [(GENERATOR_NAMES[a], GENERATOR_NAMES[b]) for a, b in ordered]
 
@@ -128,36 +131,26 @@ class GradedLayout:
 
     # -- the linear system -------------------------------------------------
 
-    def identity(self) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-        """The derivation identity of every unordered pair, as one linear map.
-
-        pairs lists the 153 pairs a <= b in lexicographic order, and
-        L[e] @ coords (shape (153, 8, 136), mod p) is
-        phi([a,b]) - s1 a.phi(b) + s2 b.phi(a) for (a, b) = pairs[e], on the
-        8 theta codes of weight beta_a + beta_b and parity |a|+|b|+|phi|; the
-        other 8 vanish by the parity grading.  [a,b] has parity |a|+|b|, so
-        phi([a,b]) reads its coordinates as they are.  An even diagonal row
-        is 0 = 0, and an odd one reads 2 a.phi(a) = 0, as [a,a] = 0.  This is
-        the whole identity, the one `DerivationMap.defects` checks; the
-        solved system is `equations`.  Cached per module and parity.
-        """
-        return _cached(self.module, ("identity", self.parity),
-                       lambda: (self._operator(_PAIRS, _UNIT), _PAIRS))
-
     def _operator(self, pairs, coords) -> np.ndarray:
         """The identity's rows on the given pairs, in the unknowns of coords.
 
         coords[g] (coords has shape (17, 8, n)) gives phi(g) on its 8 codes
-        in n unknowns.  Row e of the result, shape (len(pairs), 8, n), is
-        the identity of (a, b) = pairs[e] in them: c coords[g] for each term
-        c.g of [a,b], minus s1 times the 8x8 slice of a times coords[b], plus
-        s2 times that of b times coords[a], one einsum per term.
-        identity() and chain_map() pass the unit coordinates (n = 136),
-        equations() the chain map T (n = 32).  Builds only the blocks those
-        rows read: a from M_{beta_b} and b from M_{beta_a} for each pair.
-        With coords, blocks and brackets reduced mod p, an entry sums at
-        most 17 + 2*8 products below p^2 before its reduction, inside the
-        136 (p-1)^2 < 2^63 that `linalg.reduce` and `defects` already need.
+        in n unknowns.  Row e of the result, shape (len(pairs), 8, n), mod p,
+        is phi([a,b]) - s1 a.phi(b) + s2 b.phi(a) for (a, b) = pairs[e] in
+        them: c coords[g] for each term c.g of [a,b], minus s1 times the 8x8
+        slice of a times coords[b], plus s2 times that of b times coords[a],
+        one einsum per term.  Its 8 rows are the theta codes of weight
+        beta_a + beta_b and parity |a|+|b|+|phi|; the other 8 vanish by the
+        parity grading.  [a,b] has parity |a|+|b|, so phi([a,b]) reads its
+        coordinates as they are.  An even diagonal row is 0 = 0, and an odd
+        one reads 2 a.phi(a) = 0, as [a,a] = 0.  chain_map() passes the unit
+        coordinates (n = 136), equations() the chain map T (n = 32) and
+        `DerivationMap.defects` phi itself (n = 1).  Builds only the blocks
+        those rows read: a from M_{beta_b} and b from M_{beta_a} for each
+        pair.  With coords, blocks and brackets reduced mod p, an entry sums
+        at most 17 + 2*8 products below p^2 before its reduction, so it is
+        exact while 33 (p-1)^2 < 2^63: of the graded path, only
+        `linalg.reduce` needs the tighter 136 (p-1)^2 < 2^63.
         """
         module, par = self.module, self.parity
         alg = module.algebra
@@ -174,8 +167,7 @@ class GradedLayout:
         ab = blocks[a[:, None, None], b[:, None, None], rows, thetas[b][:, None]]
         ba = blocks[b[:, None, None], a[:, None, None], rows, thetas[a][:, None]]
         s1, s2 = _signs(par, a, b)
-        C = np.array([alg.ad_matrix(x) for x in range(17)])  # C[a, g, b]
-        L = np.einsum("eg,gin->ein", C[a, :, b], coords)
+        L = np.einsum("eg,gin->ein", alg.ad[a, :, b], coords)
         L -= np.einsum("eij,ejn->ein", s1[:, None, None] * ab, coords[b])
         L += np.einsum("eij,ejn->ein", s2[:, None, None] * ba, coords[a])
         L %= module.p
@@ -212,20 +204,17 @@ class GradedLayout:
 
         The nonzero rows of the identity on the 62 pairs that hold a member
         of GENERATING_SET, in the 32 unknowns of chain_map() (184-364 rows
-        over the p=5, alpha=2 slice): by the module docstring, T times their kernel is that of all
-        of identity().  Raises ConsistencyError unless the rows of the 13
-        chain pairs vanish, which holds exactly when T solves its chain.
-        Cached per module and parity.
+        over the p=5, alpha=2 slice): by the module docstring, T times their
+        kernel is that of the identity on all 153 pairs.  Raises
+        ConsistencyError unless the rows of the 13 chain pairs vanish, which
+        holds exactly when T solves its chain.  Not cached: `graded_spaces`,
+        its one caller in the engine, is.
         """
-
-        def build():
-            L = self._operator(_GENERATOR_PAIRS, self.chain_map())
-            if L[_CHAIN_ROWS].any():
-                raise ConsistencyError("the chain map fails the identity of its pairs")
-            rows = L.reshape(-1, L.shape[2])
-            return rows[rows.any(axis=1)]
-
-        return _cached(self.module, ("equations", self.parity), build)
+        L = self._operator(_GENERATOR_PAIRS, self.chain_map())
+        if L[_CHAIN_ROWS].any():
+            raise ConsistencyError("the chain map fails the identity of its pairs")
+        rows = L.reshape(-1, L.shape[2])
+        return rows[rows.any(axis=1)]
 
     def inner_vectors(self) -> np.ndarray:
         """One row per D_m, m a weight-0 basis monomial of this parity."""

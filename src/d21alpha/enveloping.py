@@ -57,7 +57,7 @@ import numpy as np
 
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4, Y1, Y2, Y3, Y4,
-    GENERATING_CHAIN, GENERATOR_INDEX, GENERATOR_NAMES, PARITY, SuperAlgebra,
+    GENERATING_CHAIN, GENERATOR_NAMES, PARITY, SuperAlgebra,
     build_algebra, representation_defects,
 )
 
@@ -164,10 +164,6 @@ class VermaModule:
 
     # -- monomial bookkeeping ------------------------------------------------
 
-    def monomial_word(self, n: int) -> tuple[int, ...]:
-        i1, i2, i3, code = decode(n, self.p)
-        return (F1,) * i1 + (F2,) * i2 + (F3,) * i3 + Y_WORDS[code]
-
     def weight_of_monomial(self, n: int) -> tuple[int, int, int]:
         """Weight of the basis monomial with index n, as canonical residues."""
         return monomial_weight(n, self.lam, self.p)
@@ -210,13 +206,13 @@ class VermaModule:
 
     # -- straightening engine --------------------------------------------------
 
-    def _normal_form_raw(self, word, coeff: int = 1) -> dict[int, int]:
-        """Reduce coeff * word * v to basis coordinates.
+    def normal_form(self, word, scalar: int = 1) -> dict[int, int]:
+        """PBW normal form of scalar * word * v as {index: coefficient}.
 
-        Iterative worklist; each rewriting step either lowers the inversion
-        count of a word or shortens it, so the loop terminates.  A broken
-        bracket table can break that argument, so past MAX_REWRITE_STEPS steps
-        the reduction raises ConsistencyError.
+        word lists generator indices.  Iterative worklist; each rewriting
+        step either lowers the inversion count of a word or shortens it, so
+        the loop terminates.  A broken bracket table can break that argument,
+        so past MAX_REWRITE_STEPS steps the reduction raises ConsistencyError.
         """
         p = self.p
         lam, chi = self.lam, self.chi
@@ -225,7 +221,7 @@ class VermaModule:
         brackets = self.algebra.bracket_items
         limit = MAX_REWRITE_STEPS
         out: dict[int, int] = {}
-        stack = [(coeff % p, list(word), 0)]
+        stack = [(scalar % p, list(word), 0)]
         guard = 0
         while stack:
             c, w, k = stack.pop()
@@ -296,23 +292,17 @@ class VermaModule:
                 del out[n]
         return out
 
-    def normal_form(self, word, scalar: int = 1) -> dict[int, int]:
-        """PBW normal form of scalar * word * v as {index: coefficient}.
-
-        Word items are generator indices or names.
-        """
-        idx = [GENERATOR_INDEX[g] if isinstance(g, str) else g for g in word]
-        return self._normal_form_raw(idx, scalar)
-
     def normal_form_randomized(self, word, rng, scalar: int = 1) -> dict[int, int]:
-        """Confluence oracle: reduce with randomly chosen rewrite positions."""
+        """Confluence oracle: reduce with randomly chosen rewrite positions.
+
+        word lists generator indices, as for ``normal_form``.
+        """
         p = self.p
         par = PARITY
         key = SORT_KEY
         brackets = self.algebra.bracket_items
-        idx = [GENERATOR_INDEX[g] if isinstance(g, str) else g for g in word]
         out: dict[int, int] = {}
-        stack = [(scalar % p, tuple(idx))]
+        stack = [(scalar % p, tuple(word))]
         while stack:
             c, w = stack.pop()
             if c == 0:
@@ -332,7 +322,7 @@ class VermaModule:
                 for g, co in brackets[a][b]:
                     stack.append((c * co % p, w[:k] + (g,) + w[k + 2:]))
                 continue
-            for n, v in self._normal_form_raw(list(w), c).items():
+            for n, v in self.normal_form(w, c).items():
                 t = (out.get(n, 0) + v) % p
                 if t:
                     out[n] = t
@@ -403,7 +393,7 @@ class VermaModule:
 
     def _tail(self, g: int, code: int) -> dict[int, int]:
         """Coordinates of g y^code v, the innermost level of ``_cross``."""
-        return self._normal_form_raw([g, *Y_WORDS[code]])
+        return self.normal_form([g, *Y_WORDS[code]])
 
     def _shifted(self, beta, g: int) -> tuple[int, int, int]:
         """The weight beta + wt(g), as canonical residues."""
@@ -466,12 +456,10 @@ class VermaModule:
 
     # -- materialized matrices -------------------------------------------------
 
-    def action_matrix(self, g: int | str):
+    def action_matrix(self, g: int):
         """Sparse matrix of the generator action, assembled from its p^3 blocks."""
         import scipy.sparse as sp  # only whole-module work builds one
 
-        if isinstance(g, str):
-            g = GENERATOR_INDEX[g]
         mat = self._matrices.get(g)
         if mat is None:
             betas = list(itertools.product(range(self.p), repeat=3))
@@ -564,7 +552,7 @@ class ActionSlice:
     def _tail(self, g: int, code: int) -> dict[int, int]:
         """The packed affine coordinates of g y^code v."""
         word = [g, *Y_WORDS[code]]
-        base, *units = (m._normal_form_raw(word) for m in self._references)
+        base, *units = (m.normal_form(word) for m in self._references)
         p, w = self.p, self.lane_bits
         out: dict[int, int] = {}
         for n in set(base).union(*units):

@@ -1,5 +1,29 @@
 """Shared test helpers that the engine itself does not need."""
-from d21alpha.algebra import GENERATOR_INDEX, PARITY, SuperAlgebra
+from d21alpha.algebra import F1, F2, F3, GENERATOR_INDEX, PARITY, Y1, SuperAlgebra
+from d21alpha.cohomology import _PAIRS, _UNIT, GradedLayout
+from d21alpha.enveloping import decode, theta_tuple
+
+
+def word(names=(), monomial: int | None = None, p: int | None = None) -> list[int]:
+    """Generator indices for normal_form: the named generators, in order, then
+    the letters f1^i1 f2^i2 f3^i3 y^theta of the basis monomial with index
+    monomial at p, if one is given.
+    """
+    out = [GENERATOR_INDEX[name] for name in names]
+    if monomial is not None:
+        i1, i2, i3, code = decode(monomial, p)
+        out += [F1] * i1 + [F2] * i2 + [F3] * i3
+        out += [Y1 + k for k, jk in enumerate(theta_tuple(code)) if jk]
+    return out
+
+
+def whole_identity(module, parity: int):
+    """The derivation identity of all 153 pairs as one (153, 8, 136) operator.
+
+    The one builder in the 136 unit coordinates: its kernel is the 0-weight
+    derivation space, with no generating set or chain map involved.
+    """
+    return GradedLayout(module, parity)._operator(_PAIRS, _UNIT)
 
 
 def with_perturbed_bracket(

@@ -122,6 +122,17 @@ def test_bracket_tensor_matches_hand_transcription(p, alpha):
             assert dict(algebra.bracket_items[a][b]) == expected.get((a, b), {}), (
                 GENERATOR_NAMES[a], GENERATOR_NAMES[b],
             )
+            tensor = {g: int(c) for g, c in enumerate(algebra.ad[a, :, b]) if c}
+            assert tensor == expected.get((a, b), {})
+
+
+def test_ad_is_built_from_the_table_it_finds(alg):
+    """A copy whose table is replaced after construction gets its own tensor."""
+    broken = with_perturbed_bracket(alg, "x1", "y4", "h1", 1)
+    assert not alg.ad.flags.writeable and not broken.ad.flags.writeable
+    changed = np.argwhere(broken.ad != alg.ad).tolist()
+    assert changed == [[X1, H1, Y4], [Y4, H1, X1]]
+    assert broken.ad[X1, H1, Y4] == (alg.ad[X1, H1, Y4] + 1) % alg.p
 
 
 def test_bracket_examples(alg):
@@ -139,10 +150,9 @@ def test_bracket_examples(alg):
 
 def test_bracket_of_even_element_with_itself_vanishes(alg):
     rng = random.Random(11)
-    ad = [alg.ad_matrix(g) for g in range(F3 + 1)]
     for _ in range(20):
         coeffs = np.array([rng.randrange(5) for _ in range(F3 + 1)])
-        ad_x = sum(c * m for c, m in zip(coeffs, ad))
+        ad_x = np.einsum("a,agb->gb", coeffs, alg.ad[:F3 + 1])
         # [x, x] = ad(x) x, with x padded by zeros on the odd generators
         assert not (ad_x @ np.concatenate([coeffs, np.zeros(8, int)]) % 5).any()
 
@@ -230,13 +240,13 @@ def test_check_axioms_flags_perturbed_table(p, alpha, perturbation, jacobi_count
 def test_restrictedness_ad_matrices(alg):
     p = alg.p
     for name in ("h1", "h2", "h3"):
-        ad = alg.ad_matrix(GENERATOR_INDEX[name])
+        ad = alg.ad[GENERATOR_INDEX[name]]
         power = np.eye(17, dtype=np.int64)
         for _ in range(p):
             power = power @ ad % p
         assert (power == ad).all()
     for name in ("e1", "e2", "e3", "f1", "f2", "f3"):
-        ad = alg.ad_matrix(GENERATOR_INDEX[name])
+        ad = alg.ad[GENERATOR_INDEX[name]]
         power = np.eye(17, dtype=np.int64)
         for _ in range(p):
             power = power @ ad % p
@@ -262,11 +272,10 @@ def test_bracket_json_dump(alg):
 def _generated_dimension(alg, gens) -> int:
     """Dimension of the subalgebra that the generators gens span under brackets."""
     p = alg.p
-    C = np.array([alg.ad_matrix(a) for a in range(17)])  # C[a, g, b]
     V = np.eye(17, dtype=np.int64)[list(gens)]
     while True:
         # [u, v]_g = sum_a u_a (ad(a) v)_g, reduced after each sum of products
-        ad_v = np.einsum("agb,jb->jag", C, V) % p
+        ad_v = np.einsum("agb,jb->jag", alg.ad, V) % p
         brackets = np.einsum("ia,jag->ijg", V, ad_v) % p
         grown = linalg.rref(np.vstack([V, brackets.reshape(-1, 17)]), p)[0]
         if len(grown) == len(V):

@@ -11,7 +11,7 @@ from d21alpha.algebra import (
 )
 from d21alpha.cli import main
 from d21alpha.cohomology import (
-    ConsistencyError, DerivationMap, GradedLayout, compute_point,
+    _PAIRS, ConsistencyError, DerivationMap, GradedLayout, compute_point,
     check_lemma_h_images, full_derivation_dims, graded_spaces, h1, psi,
     psi_lambda,
 )
@@ -19,6 +19,7 @@ from d21alpha.enveloping import (
     J1_CODES, J3_CODES, THETA_BITS, ActionSlice, VermaModule, decode,
     monomial_parity,
 )
+from helpers import whole_identity
 
 P = 5
 ALPHA = 2
@@ -147,9 +148,8 @@ def test_h1_representatives_are_verified_outer_classes(m233):
 
 def _graded_systems(module):
     """The even 184 x 32 system h1 solves, and the 894 x 136 whole identity."""
-    layout = GradedLayout(module, 0)
-    rows = layout.identity()[0].reshape(-1, layout.ncols)
-    return layout.equations(), rows[rows.any(axis=1)]
+    rows = whole_identity(module, 0).reshape(-1, 17 * 8)
+    return GradedLayout(module, 0).equations(), rows[rows.any(axis=1)]
 
 
 def test_h1_invariant_under_equation_row_permutation(m233):
@@ -384,7 +384,7 @@ def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
     codes = np.array((J1_CODES, J3_CODES))
     found = 0
     for parity in (0, 1):
-        L, pairs = GradedLayout(module, parity).identity()
+        layout = GradedLayout(module, parity)
         kernel = graded_spaces(module, parity)[0]
         for row in kernel:
             assert DerivationMap(parity, row).defects(module) == []
@@ -399,9 +399,9 @@ def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
             expected, by_pair = _defects_by_pairs(phi, module)
             assert phi.defects(module) == expected
             found += len(expected)
-            # the operator's values, not only its failing pairs
-            values = L @ vec % p
-            for e, (a, b) in enumerate(pairs):
+            # the values defects reads, not only its failing pairs
+            values = layout._operator(_PAIRS, vec.reshape(17, 8, 1))[..., 0]
+            for e, (a, b) in enumerate(_PAIRS):
                 rows = (PARITY[a] + PARITY[b] + parity) % 2
                 assert (values[e] == by_pair[a, b][codes[rows]]).all()
                 assert not by_pair[a, b][codes[1 - rows]].any()
@@ -409,7 +409,7 @@ def test_defects_match_a_per_pair_loop(p, alpha, lam, chi):
 
 
 def _assert_generator_pairs_suffice(module):
-    """The lifted kernel of equations() against that of every identity() row.
+    """The lifted kernel of equations() against that of the whole identity.
 
     graded_spaces solves the generator pairs in the 32 coordinates of the
     generating set and lifts the kernel by the chain map, so this checks the
@@ -417,8 +417,7 @@ def _assert_generator_pairs_suffice(module):
     """
     p = module.p
     for parity in (0, 1):
-        layout = GradedLayout(module, parity)
-        rows = layout.identity()[0].reshape(-1, layout.ncols)
+        rows = whole_identity(module, parity).reshape(-1, 17 * 8)
         whole = linalg.kernel_basis(rows[rows.any(axis=1)], p)
         assert np.array_equal(graded_spaces(module, parity)[0], whole), (
             p, module.lam, module.chi, parity,

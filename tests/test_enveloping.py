@@ -15,7 +15,7 @@ from d21alpha.enveloping import (
     decode, encode, monomial_parity, monomial_weight, theta_tuple,
     verify_module_axioms,
 )
-from helpers import with_perturbed_bracket
+from helpers import with_perturbed_bracket, word
 
 P = 5
 ALPHA = 2
@@ -111,52 +111,52 @@ def test_codec_round_trip_and_weight(p, exps, code, lam):
 
 
 def test_normal_form_single_f(module):
-    got = module.normal_form(["f1"])
+    got = module.normal_form(word(["f1"]))
     assert got == {encode(1, 0, 0, 0b0000, P): 1}
 
 
 def test_normal_form_e_then_f_gives_lambda(module):
     # e1 f1 v = f1 e1 v + h1 v = lambda_1 v
-    assert module.normal_form(["e1", "f1"]) == {0: LAM[0] % P}
+    assert module.normal_form(word(["e1", "f1"])) == {0: LAM[0] % P}
 
 
 def test_normal_form_f_power_reduces_to_chi(module, module_chi):
-    word = ["f1"] * P
-    assert module.normal_form(word) == {}
-    assert module_chi.normal_form(word) == {0: 1}
+    power = word(["f1"] * P)
+    assert module.normal_form(power) == {}
+    assert module_chi.normal_form(power) == {0: 1}
     # twice around: chi^2
-    assert module_chi.normal_form(["f1"] * (2 * P)) == {0: 1}
+    assert module_chi.normal_form(word(["f1"] * (2 * P))) == {0: 1}
 
 
 def test_normal_form_odd_square_vanishes(module):
-    assert module.normal_form(["y1", "y1"]) == {}
-    assert module.normal_form(["f2", "y3", "y3"]) == {}
+    assert module.normal_form(word(["y1", "y1"])) == {}
+    assert module.normal_form(word(["f2", "y3", "y3"])) == {}
 
 
 def test_normal_form_scalar_and_names(module):
-    a = module.normal_form(["f2"], scalar=3)
+    a = module.normal_form(word(["f2"]), scalar=3)
     b = module.normal_form([GENERATOR_INDEX["f2"]])
     assert a == {n: 3 * c % P for n, c in b.items()}
 
 
 def test_normal_form_annihilates_with_positive_tail(module):
-    assert module.normal_form(["e2"]) == {}
-    assert module.normal_form(["x3"]) == {}
+    assert module.normal_form(word(["e2"])) == {}
+    assert module.normal_form(word(["x3"])) == {}
     # x2 f1 v = f1 x2 v - [f1,x2] v = -y2 v: the crossing matters
     y2v = encode(0, 0, 0, 0b0100, P)
-    assert module.normal_form(["x2", "f1"]) == {y2v: P - 1}
+    assert module.normal_form(word(["x2", "f1"])) == {y2v: P - 1}
     # h absorbs the weight
-    assert module.normal_form(["h2"]) == {0: LAM[1] % P}
+    assert module.normal_form(word(["h2"])) == {0: LAM[1] % P}
 
 
 def test_confluence_randomized_rewrites(module):
     rng = random.Random(2024)
     for _ in range(1000):
         length = rng.randrange(0, 9)
-        word = [rng.randrange(17) for _ in range(length)]
-        direct = module.normal_form(word)
-        shuffled = module.normal_form_randomized(word, rng)
-        assert direct == shuffled, word
+        letters = [rng.randrange(17) for _ in range(length)]
+        direct = module.normal_form(letters)
+        shuffled = module.normal_form_randomized(letters, rng)
+        assert direct == shuffled, letters
 
 
 def test_dimension(module):
@@ -164,7 +164,7 @@ def test_dimension(module):
 
 
 def test_cartan_action_is_diagonal_with_weight_entries(module):
-    mat = module.action_matrix("h1").todense()
+    mat = module.action_matrix(H1).todense()
     for n in range(module.dim):
         beta = module.weight_of_monomial(n)
         col = np.asarray(mat[:, n]).ravel()
@@ -174,8 +174,8 @@ def test_cartan_action_is_diagonal_with_weight_entries(module):
 
 
 def _column(module, g, n):
-    """Column n of the action matrix of g, as {index: nonzero coefficient}."""
-    col = module.action_matrix(g)[:, n].tocoo()
+    """Column n of the action of the generator named g, as {index: coefficient}."""
+    col = module.action_matrix(GENERATOR_INDEX[g])[:, n].tocoo()
     return {int(r): int(v) % P for r, v in zip(col.row, col.data) if v % P}
 
 
@@ -204,7 +204,7 @@ def test_columns_agree_with_direct_straightening(fixture, request):
     for g in range(17):
         mat = module.action_matrix(g).tocsc()
         for n in sample:
-            direct = module._normal_form_raw([g] + list(module.monomial_word(n)))
+            direct = module.normal_form([g] + word(monomial=n, p=module.p))
             col = mat[:, n].tocoo()
             assert {int(r): int(v) for r, v in zip(col.row, col.data)} == direct
 
@@ -249,9 +249,9 @@ def test_crossing_edge_cases_match_direct_straightening(
             continue
         for code in codes:
             n = encode(*exps, code, p)
-            word = list(module.monomial_word(n))
+            letters = word(monomial=n, p=p)
             for g in range(17):
-                expected = module._normal_form_raw([g] + word)
+                expected = module.normal_form([g] + letters)
                 assert module.column(g, n) == expected, (g, exps, code)
                 assert made.column(g, n) == expected, (g, exps, code)
 
@@ -273,6 +273,28 @@ def test_blocks_do_not_depend_on_request_order():
         assert (second.block(*key) == got[key]).all(), key
 
 
+def _slice_block_mismatches(action, lambdas, rng=None) -> list:
+    """(lambda, g, beta) of each block where action.module(lambda) differs
+    from a directly built module.
+
+    Every block(g, weights[u]) that the derivation identity reads; with rng,
+    also blocks at four random weights per lambda, so that columns of other
+    f-exponents are evaluated.
+    """
+    alg, p = action.algebra, action.p
+    bad = []
+    for lam in lambdas:
+        made, direct = action.module(lam), VermaModule(alg, lam, action.chi)
+        betas = list(alg.weights)
+        if rng:
+            betas += [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
+        for g in range(17):
+            for beta in betas:
+                if (made.block(g, beta) != direct.block(g, beta)).any():
+                    bad.append((lam, g, beta))
+    return bad
+
+
 @pytest.mark.parametrize("p,alpha,chi,sample", [
     (5, 2, (0, 0, 0), None),  # every lambda of the slice
     (5, 3, (1, 2, 4), 12),
@@ -280,28 +302,38 @@ def test_blocks_do_not_depend_on_request_order():
     (101, 3, (100, 100, 100), 12),  # the widest lanes
 ])
 def test_slice_blocks_match_straightening(p, alpha, chi, sample, reduced_columns):
-    """A slice-made module's blocks equal those of a directly built one.
-
-    Every block(g, weights[u]) that the derivation identity reads; at
-    sampled lambda also blocks at random weights, so that columns of other
-    f-exponents are evaluated.
-    """
-    alg = build_algebra(p, alpha)
-    action = ActionSlice(alg, chi)
+    """A slice-made module's blocks equal those of a directly built one."""
+    action = ActionSlice(build_algebra(p, alpha), chi)
     lambdas = list(itertools.product(range(p), repeat=3))
     rng = random.Random(p)
     if sample:
         lambdas = rng.sample(lambdas, sample)
-    for lam in lambdas:
-        made, direct = action.module(lam), VermaModule(alg, lam, chi)
-        betas = list(alg.weights)
-        if sample:
-            betas += [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
-        for g in range(17):
-            for beta in betas:
-                assert (made.block(g, beta) == direct.block(g, beta)).all(), (
-                    lam, g, beta
-                )
+    assert _slice_block_mismatches(action, lambdas, rng if sample else None) == []
+
+
+def test_slice_oracle_catches_a_wrong_reference_lambda():
+    """A reference module at lambda = 2 e2 in place of e2 doubles every c2."""
+    alg = build_algebra(5, 2)
+    action = ActionSlice(alg, (0, 0, 0))
+    references = list(action._references)
+    references[2] = VermaModule(alg, (0, 2, 0), action.chi)
+    action._references = tuple(references)
+    lambdas = random.Random(5).sample(list(itertools.product(range(5), repeat=3)), 6)
+    assert _slice_block_mismatches(action, lambdas)
+
+
+def test_slice_oracle_catches_lanes_that_carry():
+    """Lanes of 8 bits carry into each other at p=101 with chi = p-1.
+
+    Every wrap there multiplies by the largest residue.  At p=5 the same
+    fault leaves every compared block intact, so this case runs at p=101.
+    """
+    p = 101
+    action = ActionSlice(build_algebra(p, 3), (p - 1,) * 3)
+    action.lane_bits = 8
+    rng = random.Random(p)
+    lambdas = rng.sample(list(itertools.product(range(p), repeat=3)), 2)
+    assert _slice_block_mismatches(action, lambdas, rng)
 
 
 class _LaneModule(VermaModule):
@@ -391,7 +423,7 @@ def test_representation_defects_flag_a_corrupted_action(module):
 
 
 def test_restrictedness_f_power_matrix(module_chi):
-    mat = module_chi.action_matrix("f1")
+    mat = module_chi.action_matrix(F1)
     power = mat
     for _ in range(P - 1):
         power = power @ mat
