@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -89,8 +88,8 @@ class AxiomViolation:
 class SuperAlgebra:
     """D(2,1;alpha) with its bracket tensor, weights and p-mapping.
 
-    Immutable after construction (``ad`` and ``crossing_terms`` only
-    memoize); safe to share across threads/processes.
+    Immutable after construction (``ad`` only memoizes); safe to share
+    across threads/processes.
     """
 
     def __init__(self, p: int, alpha: int):
@@ -106,7 +105,6 @@ class SuperAlgebra:
         )
         # bracket[a][b] = tuple of (generator, coefficient) pairs, canonical mod p
         self.bracket_items = self._build_bracket_table()
-        self._crossing_terms: dict[tuple[int, int, int], tuple] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -186,34 +184,6 @@ class SuperAlgebra:
                     ad[a, g, b] = c
         ad.flags.writeable = False
         return ad
-
-    def crossing_terms(self, g: int, k: int, i: int) -> tuple:
-        """The terms of g f^i = sum_j C(i, j) f^(i-j) D^j(g), with f = f_{k+1}.
-
-        D(x) = [x, f]; returns ((i - j, ((h, C(i, j) * coefficient of h in
-        D^j(g)), ...)), ...), memoized per algebra under (g, k, i).  ad f is
-        nilpotent (ad f^3 = 0), so there are at most three terms, whatever i
-        and p are.  Each D^j(g) is a multiple of one generator and each
-        coefficient lies in 1..p-1, which bounds ``ActionSlice``'s lanes.
-        """
-        out = self._crossing_terms.get((g, k, i))
-        if out is not None:
-            return out
-        p, f = self.p, F1 + k
-        terms = []
-        term = {g: 1}  # D^j(g) as {generator: coefficient}
-        for j in range(i + 1):
-            scale = comb(i, j) % p
-            terms.append((i - j, tuple((h, c * scale % p) for h, c in term.items())))
-            nxt: dict[int, int] = {}
-            for h, c in term.items():
-                for h2, co in self.bracket_items[h][f]:
-                    nxt[h2] = (nxt.get(h2, 0) + c * co) % p
-            term = {h: c for h, c in nxt.items() if c}
-            if not term:
-                break
-        out = self._crossing_terms[g, k, i] = tuple(terms)
-        return out
 
     # -- validation ---------------------------------------------------------
 

@@ -29,9 +29,9 @@ per-parity map T of `GradedLayout.chain_map` (136 x 32).
 unordered pairs {a, b} with a or b in the set, written in those 32 unknowns:
 its kernel K gives the 0-weight derivations as T K.  Its rows on the 13 chain
 pairs vanish exactly when T solves its own chain, and `equations` checks
-that.  `DerivationMap.defects` evaluates the same builder on all 153 pairs
-at the map's own coordinates, so every representative and psi family is
-checked against the whole identity.
+that.  `h1` and `DerivationMap.defects` evaluate the same builder on all
+153 pairs at the maps' own coordinates, so every representative and psi
+family is checked against the whole identity.
 
 The ungraded oracle solves for the full derivation space without the
 0-weight restriction (17 unknown module vectors per parity) and cross-checks
@@ -40,7 +40,6 @@ every coordinate, so it rests on neither the lemma nor the chain above.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +51,7 @@ from .algebra import (
 )
 # ConsistencyError is re-exported here for cli and the tests
 from .enveloping import (
-    J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule,
-    monomial_parity,
+    J1_CODES, J3_CODES, ConsistencyError, VermaModule, monomial_parity,
 )
 
 # the theta codes of each monomial parity, and each code's slot among them
@@ -144,10 +142,11 @@ class GradedLayout:
         parity grading.  [a,b] has parity |a|+|b|, so phi([a,b]) reads its
         coordinates as they are.  An even diagonal row is 0 = 0, and an odd
         one reads 2 a.phi(a) = 0, as [a,a] = 0.  chain_map() passes the unit
-        coordinates (n = 136), equations() the chain map T (n = 32) and
-        `DerivationMap.defects` phi itself (n = 1).  Builds only the blocks
-        those rows read: a from M_{beta_b} and b from M_{beta_a} for each
-        pair.  With coords, blocks and brackets reduced mod p, an entry sums
+        coordinates (n = 136), equations() the chain map T (n = 32), `h1` its
+        n representatives and `DerivationMap.defects` phi itself (n = 1).
+        The slices are read from the module's cached generator_blocks: a
+        from M_{beta_b} and b from M_{beta_a} for each pair.  With coords,
+        blocks and brackets reduced mod p, an entry sums
         at most 17 + 2*8 products below p^2 before its reduction, so it is
         exact while 33 (p-1)^2 < 2^63: of the graded path, only
         `linalg.reduce` needs the tighter 136 (p-1)^2 < 2^63.
@@ -156,11 +155,7 @@ class GradedLayout:
         alg = module.algebra
         odd = np.array(PARITY)
         a, b = np.array(pairs).T
-        # blocks[g, u] = g from M_{beta_u}; an even diagonal cancels in its own row
-        blocks = np.zeros((17, 17, 16, 16), dtype=np.int64)
-        for g, u in sorted(set(pairs) | {(u, g) for g, u in pairs}):
-            if g != u or odd[g]:
-                blocks[g, u] = module.block(g, alg.weights[u])
+        blocks = module.generator_blocks  # [g, u] = g from M_{beta_u}
         # ab[e] = a.phi(b) and ba[e] = b.phi(a) on the row codes of pair e
         rows = np.array(_CODES)[(odd[a] + odd[b] + par) % 2][:, :, None]
         thetas = np.array(self.thetas)
@@ -223,7 +218,7 @@ class GradedLayout:
         vecs = np.zeros((8, self.ncols), dtype=np.int64)
         for b in range(17):
             sign = -1 if PARITY[b] and self.parity else 1
-            block = module.block(b, (0, 0, 0))
+            block = module.generator_blocks[b, H1]  # from M_0, as wt(h1) = 0
             vecs[:, b * 8:(b + 1) * 8] = sign * block[np.ix_(self.thetas[b], codes)].T
         return vecs % module.p
 
@@ -297,7 +292,7 @@ def h1(module: VermaModule) -> H1Result:
     Per parity: the quotient of the 0-weight derivation space by the inner
     subspace.  Representatives are kernel basis vectors reduced modulo the
     inner space, re-echelonized, and re-verified against the derivation
-    identity on all generator pairs.
+    identity on all 153 pairs, all of one parity in one evaluation.
     """
     p = module.p
     dims = {}
@@ -313,11 +308,15 @@ def h1(module: VermaModule) -> H1Result:
             basis, _ = linalg.rref(linalg.reduce(inner, kernel, p), p)
             if basis.shape[0] != dims[parity]:
                 raise ConsistencyError("representative extraction lost rank")
-            for row in basis:
-                rep = DerivationMap(parity, row)
-                if rep.defects(module):
-                    raise ConsistencyError("representative fails the identity")
-                reps.append(rep)
+            # the identity on all 153 pairs, with one column per representative
+            coords = basis.T.reshape(17, 8, -1)
+            values = GradedLayout(module, parity)._operator(_PAIRS, coords)
+            failing = np.flatnonzero(values.any(axis=(0, 1)))
+            if failing.size:
+                raise ConsistencyError(
+                    f"representative {failing[0]} of parity {parity} fails the identity"
+                )
+            reps += [DerivationMap(parity, row) for row in basis]
     return H1Result(module, dims[0], dims[1], reps, graded)
 
 
@@ -572,41 +571,14 @@ class PointSummary:
     dim_odd: int
 
 
-# The largest p at which compute_point reads its columns from a slice.  The
-# slice pays when a point's columns recur across the lambda of its slice: over
-# consecutive lambda (scan order) 97% of a point's column requests recur at
-# p=5 and 96% at p=7, and a full slice holds 4.6 and 11.7 MB.  At p=31 45%
-# recur: a slice point gains about 10% over a long scan, but the memo grows
-# by about 0.4 MB a point toward the 17 * 16 p^3 columns of a full slice (8M);
-# at p=101 35% recur, and a slice point is slower than straightening.
-SLICE_MAX_P = 7
-
-
-@functools.lru_cache(maxsize=1)
-def _action_slice(p: int, alpha: int, chi) -> ActionSlice:
-    """The slice of one reduced (p, alpha, chi): the one cache of compute_point.
-
-    A scan's tasks are alpha-major and a worker takes them in consecutive
-    chunks, so consecutive points share a slice, and one entry per process
-    bounds memory by one slice (11.7 MB at p=7).  A point of another slice
-    drops it.
-    """
-    return ActionSlice(build_algebra(p, alpha), chi)
-
-
 def compute_point(p: int, alpha: int, lam, chi) -> PointSummary:
     """Graded H^1 at one parameter point (process-pool friendly).
 
-    At p <= SLICE_MAX_P its module reads its columns from ``_action_slice``,
-    which consecutive points of one (p, alpha mod p, chi mod p) share; above
-    that it straightens its own.
+    Its module evaluates the crossing table of (p, alpha mod p), which every
+    point of one algebra in the process shares.
     """
     alpha, chi = alpha % p, tuple(c % p for c in chi)
-    if p <= SLICE_MAX_P:
-        module = _action_slice(p, alpha, chi).module(lam)
-    else:
-        module = VermaModule(build_algebra(p, alpha), lam, chi)
-    result = h1(module)
+    result = h1(VermaModule(build_algebra(p, alpha), lam, chi))
     return PointSummary(
         p, alpha, tuple(v % p for v in lam), chi, result.dim_even, result.dim_odd,
     )

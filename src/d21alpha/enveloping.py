@@ -12,53 +12,68 @@ The highest weight vector v is even, so a basis monomial has parity
 j1+j2+j3+j4 mod 2.
 
 Arbitrary products of generators applied to v are reduced to this basis by a
-confluent rewriting system: adjacent out-of-order pairs a*b are replaced by
-(-1)^{|a||b|} b*a + [a,b], squares of odd generators vanish, f_i^p reduces to
-the scalar chi(f_i)^p, and at the right boundary e_i and x_i kill v while h_i
-contributes lambda_i.
+confluent rewriting system (``normal_form``): adjacent out-of-order pairs a*b
+are replaced by (-1)^{|a||b|} b*a + [a,b], squares of odd generators vanish,
+f_i^p reduces to the scalar chi(f_i)^p, and at the right boundary e_i and x_i
+kill v while h_i contributes lambda_i.
 
-An action column g * f1^i1 f2^i2 f3^i3 y^theta v does not move g past the
-f-segment one letter at a time.  Since f_k is even, x f_k = f_k x + [x, f_k],
-so x f_k^i = sum_j C(i, j) f_k^(i-j) D^j(x) with D = [-, f_k] (Humphreys,
-"Introduction to Lie Algebras", 7.2).  ad f_k is nilpotent on D(2,1;alpha)
-(ad f_k^3 = 0), so the sum has at most three terms, whatever i and p are.
-Each term's algebra element crosses the next level the same way; the y-tail
-of at most five letters is left to the rewriting system.  A column thus costs
-the same at every p.
+The action does not run that system per column.  Since f_k is even,
+x f_k = f_k x + [x, f_k], so x f_k^i = sum_j C(i, j) f_k^(i-j) D_k^j(x) with
+D_k = [-, f_k] (Humphreys, "Introduction to Lie Algebras", 7.2), and
+ad f_k^3 = 0 on D(2,1;alpha).  Crossing f1^i1, f2^i2 and f3^i3 in turn,
 
-Every weight space holds exactly one monomial per theta code, so a generator
-acts as one 16x16 block per weight (``VermaModule.block``); every consumer of
-the action reads these blocks.
+    g f1^i1 f2^i2 f3^i3 y^theta v
+        = sum_j prod_k C(i_k, j_k) f1^(i1-j1) f2^(i2-j2) f3^(i3-j3)
+                D_2^j3 D_1^j2 D_0^j1(g) y^theta v,       j in {0, 1, 2}^3.
 
-For a fixed generator g and index n, the column g * n is affine in lambda:
+Each generator g' of D_2^j3 D_1^j2 D_0^j1(g) leaves a tail g' y^theta v of
+at most five letters, whose normal form is a sum of f1^a1 f2^a2 f3^a3
+y^theta' v.  The f's commute, so a tail term lands on f^(i-j+a) y^theta' v.
+A tail holds at most one f (g' itself, or the bracket of two of its y's), so
+a_k <= 1 < p: the tails never meet chi, and i_k - j_k + a_k reaches p at
+most once, where f_k^p acts as chi(f_k)^p = chi_k.
 
-    g * n = c0 + lambda_1 c1 + lambda_2 c2 + lambda_3 c3   (mod p)
+A tail is affine in lambda: c0 + lambda_1 c1 + lambda_2 c2 + lambda_3 c3
+(mod p).  Lambda enters only where an h_k reaches v.  In the reduction of
+g' y^theta v every letter but one is a negative root vector (a y or an f):
+the bracket of two negative root vectors is one or 0, and a bracket with
+the one other letter (g', or the letter that replaced it) replaces that
+letter.  So a word holds at most one h, and each term picks up at most one
+lambda_k; the normal forms at lambda = 0, e1, e2, e3 give c0 and c.
 
-with (c0, c1, c2, c3) independent of lambda.  Crossing the f-segment uses
-binomials, brackets and chi wraps that depend on n alone; lambda enters only
-when a term's y-tail g' y^theta v is reduced, where an h_k that reaches v
-gives lambda_k.  In that reduction every letter but one is a negative root
-vector (a y or an f): the bracket of two negative root vectors is one or 0,
-and a bracket with the one other letter (g', or the letter that replaced it)
-replaces that letter.  So a word holds at most one h, and each term picks up
-at most one lambda_k.  ``ActionSlice`` keeps these affine columns for every
-module of one (algebra, chi): it packs (c0, c1, c2, c3) as four lanes of one
-int, which the one crossing recursion, ``VermaModule._cross``, carries as it
-carries a scalar, since it only adds and multiplies by residues.
-tests/test_enveloping.py::test_slice_blocks_match_straightening compares the
-blocks of modules made from a slice with those of directly built,
-straightening modules.
+So the column is a sum over the rows (theta, j, a, theta', c0, c) of a table
+that depends on the algebra alone (``crossing_table``), each row adding
+
+    prod_k C(i_k, j_k) * (c0 + lambda . c) * prod_k chi_k^[i_k - j_k + a_k >= p]
+
+to theta code theta' of the target weight space.  Every weight space holds
+exactly one monomial per theta code, so a generator acts as one 16x16 block
+per weight, and a block is one scatter-add of the rows of g.
+``VermaModule.column`` evaluates them on a tuple of weights at once; every
+consumer of the action reads its blocks.  The build checks that each row
+keeps the weight and parity grading, so no evaluation has to.
+tests/test_enveloping.py compares the blocks with ``normal_form`` of whole
+words g f1^i1 f2^i2 f3^i3 y^theta.
+
+Arithmetic is int64 and exact.  The build multiplies 17x17 matrices of
+residues and sums one row's terms over the generators g', reducing each
+sum of at most 17 products below p^2: exact while 17 (p-1)^2 < 2^63.
+Evaluation reduces every product, and an affine value sums 4 products below
+p^2, so it is exact while 4 (p-1)^2 < 2^63; the int32 table holds residues,
+so p < 2^31.  Both bounds lie beyond the 136 (p-1)^2 < 2^63 of
+``linalg.reduce``, the tightest on the graded path.
 """
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
 
 import numpy as np
 
 from .algebra import (
     E1, E2, E3, F1, F2, F3, H1, H2, H3, X1, X2, X3, X4, Y1, Y2, Y3, Y4,
-    GENERATING_CHAIN, GENERATOR_NAMES, PARITY, SuperAlgebra,
-    build_algebra, representation_defects,
+    GENERATOR_NAMES, PARITY, SuperAlgebra, build_algebra, representation_defects,
 )
 
 # Straightening order: the PBW segment first, then the generators eliminated
@@ -122,43 +137,33 @@ def monomial_parity(n):
 
 J1_CODES = tuple(c for c in range(16) if monomial_parity(c) == 0)
 J3_CODES = tuple(c for c in range(16) if monomial_parity(c) == 1)
-# per theta code, for the scalar hot paths: the y-weight and the y-word
+# per theta code: the y-weight (also as an array) and the y-word
 THETA_WEIGHTS = tuple(theta_weight(c) for c in range(16))
+_THETA_WEIGHTS = np.array(THETA_WEIGHTS, dtype=np.int64)
 Y_WORDS = tuple(
     tuple(Y1 + k for k, jk in enumerate(theta_tuple(c)) if jk) for c in range(16)
 )
-
-# Generators whose blocks are commutators of other generators' blocks: the
-# steps of GENERATING_CHAIN that reach x2, x3, x1 and e1.
-DERIVED_GENS = {g: (a, b) for g, a, b in GENERATING_CHAIN if g in (X1, X2, X3, E1)}
 
 
 class VermaModule:
     """A baby Verma module with lazily materialized generator actions.
 
     The module is determined by (algebra, lambda, chi).  The action of a
-    generator on one weight space is a 16x16 block, computed on demand and
-    cached; full sparse matrices are assembled from blocks only when
-    requested, so weight-graded computations touching a few weight spaces
-    stay cheap.
-
-    A module built directly straightens its own action columns.  One made by
-    ``ActionSlice.module`` reads them off its slice at its own lambda; the
-    directly built module is the oracle it is tested against.
+    generator on one weight space is a 16x16 block, evaluated on demand from
+    the algebra's crossing table and cached; full sparse matrices are
+    assembled from blocks only when requested, so weight-graded computations
+    touching a few weight spaces stay cheap.
     """
 
-    def __init__(self, algebra: SuperAlgebra, lam, chi, action_slice=None):
+    def __init__(self, algebra: SuperAlgebra, lam, chi):
         p = algebra.p
         self.algebra = algebra
         self.p = p
         self.lam = tuple(v % p for v in lam)
         self.chi = tuple(c % p for c in chi)
-        self.slice: ActionSlice | None = action_slice
         self.dim = 16 * p**3
         self.inv2 = pow(2, p - 2, p)
         self._blocks: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
-        # (generator, level, remaining f-exponents, theta code) -> coordinates
-        self._crossings: dict[tuple, dict[int, int]] = {}
         self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict = {}  # generator -> scipy CSR matrix
 
@@ -332,68 +337,39 @@ class VermaModule:
 
     # -- generator action ----------------------------------------------------
 
-    def column(self, g: int, n: int) -> dict[int, int]:
-        """Coordinates of g * (basis monomial n).
+    @functools.cached_property
+    def _table(self) -> tuple[np.ndarray, np.ndarray]:
+        return crossing_table(self.algebra)
 
-        Straightened, or, for a module made by a slice, the slice's affine
-        column evaluated at this module's lambda.
+    def column(self, g: int, betas) -> np.ndarray:
+        """The blocks of g from the weight spaces betas, shape (len(betas), 16, 16).
+
+        betas is a tuple of weight triples.  Entry (k, r, c) is the
+        coefficient of w_index(betas[k] + wt g, r) in g * w_index(betas[k], c),
+        an int64 residue: the crossing table's rows of g evaluated at this
+        module's lambda and chi (module docstring), one scatter-add per
+        block.  Every product is reduced.
         """
-        p = self.p
-        if self.slice is None:
-            i1, i2, i3, code = decode(n, p)
-            crossed = self._cross(g, 0, (i1, i2, i3), code)
-            return {m: r for m, v in crossed.items() if (r := v % p)}
-        l1, l2, l3 = self.lam
-        out = {}
-        it = iter(self.slice.column(g, n))
-        for m, c0, c1, c2, c3 in zip(it, it, it, it, it):
-            v = (c0 + l1 * c1 + l2 * c2 + l3 * c3) % p
-            if v:
-                out[m] = v
-        return out
-
-    def _cross(self, g: int, k: int, exps, code: int) -> dict[int, int]:
-        """Coordinates of g * f_{k+1}^exps[0] ... f_3^exps[-1] y^code v, unreduced.
-
-        Crosses f = f_{k+1} to the power i = exps[0] in one step
-        (``SuperAlgebra.crossing_terms``) and recurses on each generator of
-        D^j(g).  Multiplying by f^(i-j) on the left only raises the k-th
-        exponent (the f's commute), wrapping f^p to chi(f).  It only adds and
-        multiplies by residues, so coefficients stay exact and non-negative
-        (``column`` reduces once) and packed ``ActionSlice`` tails pass
-        through it.  The inner levels are cached per owner; the top level
-        (k = 0) is one key per column and is not.
-        """
-        if k:
-            key = (g, k, exps, code)
-            out = self._crossings.get(key)
-            if out is not None:
-                return out
-        if not exps:  # only the y-tail is left: at most five letters
-            out = self._crossings[key] = self._tail(g, code)
-            return out
-        p, chi_k = self.p, self.chi[k]
-        i, rest = exps[0], exps[1:]
-        stride = 16 * p ** len(rest)  # index step of the k-th exponent
-        acc: dict[int, int] = {}
-        for shift, term in self.algebra.crossing_terms(g, k, i):
-            for h, c in term:
-                for n, v in self._cross(h, k + 1, rest, code).items():
-                    v = v * c
-                    # an exponent below p plus a shift below p wraps at most once
-                    if n // stride % p + shift >= p:
-                        v *= chi_k
-                        n -= p * stride
-                    n += shift * stride
-                    acc[n] = acc.get(n, 0) + v
-        if not k:  # the caller reduces mod p and drops zeros
-            return acc
-        out = self._crossings[key] = {n: v for n, v in acc.items() if v}
-        return out
-
-    def _tail(self, g: int, code: int) -> dict[int, int]:
-        """Coordinates of g y^code v, the innermost level of ``_cross``."""
-        return self.normal_form([g, *Y_WORDS[code]])
+        p, lam = self.p, self.lam
+        rows, offsets = self._table
+        rows = rows[offsets[g]:offsets[g + 1]].astype(np.int64)
+        theta, j, a = rows[:, 0], rows[:, 1:4], rows[:, 4:7]
+        beta = np.array(betas, dtype=np.int64).reshape(-1, 3) % p
+        coef = (rows[:, 8] + rows[:, 9:] @ np.array(lam)) % p  # c0 + lambda . c
+        coef = np.broadcast_to(coef, (len(beta), len(rows)))
+        for k in range(3):
+            # the f_k-exponent of each row's source monomial, per weight space
+            i = (lam[k] + _THETA_WEIGHTS[theta, k] - beta[:, k, None]) * self.inv2 % p
+            binom = np.choose(j[:, k], (1, i, i * (i - 1) // 2 % p))  # C(i, j)
+            coef = coef * binom % p
+            wraps = i - j[:, k] + a[:, k] >= p
+            coef = np.where(wraps, coef * self.chi[k] % p, coef)
+        # the rows are sorted by cell (theta', theta): sum each cell's run
+        cells = rows[:, 7] * 16 + theta
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        out = np.zeros((len(beta), 256), dtype=np.int64)
+        out[:, cells[starts]] = np.add.reduceat(coef, starts, axis=1) % p
+        return out.reshape(-1, 16, 16)
 
     def _shifted(self, beta, g: int) -> tuple[int, int, int]:
         """The weight beta + wt(g), as canonical residues."""
@@ -405,65 +381,38 @@ class VermaModule:
 
         Rows and columns are indexed by theta code: entry (r, c) is the
         coefficient of w_index(beta + wt g, r) in g * w_index(beta, c).
-        Raises ConsistencyError when a straightened column leaves the target
-        weight space or breaks the parity grading; the closed forms and the
-        commutators of checked blocks keep both by construction.
         """
         p = self.p
         beta = (beta[0] % p, beta[1] % p, beta[2] % p)
-        key = (g, beta)
-        B = self._blocks.get(key)
-        if B is not None:
-            return B
-        if g <= H3:
-            B = beta[g - H1] * np.eye(16, dtype=np.int64)
-        elif F1 <= g <= F3:
-            # f_k raises i_k by one; past p-1 it wraps to 0 with the scalar chi(f_k)
-            k = g - F1
-            B = np.diag(np.array([
-                self.chi[k] if decode(n, p)[k] == p - 1 else 1
-                for n in self.weight_basis(beta)
-            ], dtype=np.int64))
-        elif g in DERIVED_GENS:
-            a, b = DERIVED_GENS[g]
-            # [a, b] = c g: odd-odd for e1 = [x1,x4], even-odd for the x's
-            sign = 1 if PARITY[a] and PARITY[b] else -1
-            B = self.block(a, self._shifted(beta, b)) @ self.block(b, beta) + sign * (
-                self.block(b, self._shifted(beta, a)) @ self.block(a, beta)
-            )
-            c = dict(self.algebra.bracket_items[a][b])[g]
-            B = B % p * pow(c, p - 2, p) % p
-        else:
-            target = self._shifted(beta, g)
-            sources, space = self.weight_basis(beta), self.weight_basis(target)
-            by_parity = (J1_CODES, J3_CODES)
-            B = np.zeros((16, 16), dtype=np.int64)
-            for parity, codes in enumerate(by_parity):
-                # the image of a code may only hold codes of parity |code| + |g|
-                allowed = {space[r]: r for r in by_parity[(parity + PARITY[g]) % 2]}
-                for c in codes:
-                    for m, v in self.column(g, sources[c]).items():
-                        r = allowed.get(m)
-                        if r is None:
-                            raise ConsistencyError(
-                                f"{GENERATOR_NAMES[g]} maps monomial {sources[c]} "
-                                f"outside the weight-{target} monomials of its parity"
-                            )
-                        B[r, c] = v
-        B.flags.writeable = False
-        self._blocks[key] = B
+        B = self._blocks.get((g, beta))
+        if B is None:
+            B = self._blocks[g, beta] = self.column(g, (beta,))[0]
+            B.flags.writeable = False
         return B
+
+    @functools.cached_property
+    def generator_blocks(self) -> np.ndarray:
+        """The blocks the derivation identity reads, (17, 17, 16, 16) int64.
+
+        [g, u] is the block of g from M_{wt u}; one ``column`` call per
+        generator.  Read-only.
+        """
+        weights = self.algebra.weights
+        blocks = np.stack([self.column(g, weights) for g in range(17)])
+        blocks.flags.writeable = False
+        return blocks
 
     # -- materialized matrices -------------------------------------------------
 
     def action_matrix(self, g: int):
-        """Sparse matrix of the generator action, assembled from its p^3 blocks."""
+        """Sparse matrix of the generator action, from one ``column`` call
+        over all p^3 weights."""
         import scipy.sparse as sp  # only whole-module work builds one
 
         mat = self._matrices.get(g)
         if mat is None:
-            betas = list(itertools.product(range(self.p), repeat=3))
-            blocks = np.array([self.block(g, beta) for beta in betas])
+            betas = tuple(itertools.product(range(self.p), repeat=3))
+            blocks = self.column(g, betas)
             sources = np.array([self.weight_basis(beta) for beta in betas])
             targets = np.array([self.weight_basis(self._shifted(b, g)) for b in betas])
             k, r, c = np.nonzero(blocks)
@@ -487,79 +436,100 @@ class VermaModule:
         return (b1 * p + b2) * p + b3
 
 
-class ActionSlice:
-    """The affine action columns of every module with one (algebra, chi).
+# -- the crossing table ----------------------------------------------------------
 
-    Straightens each y-tail at lambda = 0, e1, e2, e3 and takes differences
-    (``_tail``); c_j of (c0, c1, c2, c3) is lane j, bits j*w to (j+1)*w - 1,
-    of one int, which ``VermaModule._cross`` carries.  ``column`` unpacks
-    each coordinate mod p and memoizes; ``module(lam)`` makes a
-    ``VermaModule`` that reads its columns from here.
+# (p, alpha, digest of the bracket tensor) -> (rows, offsets); see crossing_table
+_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# the highest weights 0, e1, e2, e3 at which the tails are straightened
+_REFERENCE_LAMBDAS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    Lanes never carry into each other: every factor is a residue >= 0 (a
-    crossing coefficient, or chi(f_k) where f^p wraps) and a tail lane is a
-    residue; a level sends at most three contributions to a coordinate, one
-    per crossing term (each D^j(g) is a multiple of one generator), each an
-    inner lane times at most (p-1)^2.  After the three levels a lane is at
-    most (p-1) (3 (p-1)^2)^3 = 27 (p-1)^7, and w is that bound's bit length.
 
-    Memory grows with the columns requested, up to the 17 * 16 p^3 of a
-    full slice; no slot is allocated ahead.  A filled column is one flat
-    int tuple (m, c0, c1, c2, c3, m', ...); the inner levels of its
-    recursion are the packed dicts of ``_cross``.  Measured with
-    tracemalloc, a full p=5 slice (the 14,000 columns that h1 reads over
-    all 125 lambda) holds 4.6 MB and a full p=7 slice 11.7 MB; three points
-    at p=31 or p=101 hold 4.3 MB, and a full p=31 slice would hold some 8M
-    columns, which is why ``compute_point`` keeps slices to p <= 7.
+def crossing_table(algebra: SuperAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The algebra's crossing table as (rows, offsets), built once per process.
+
+    rows[offsets[g]:offsets[g + 1]] are the rows of generator g, int32 columns
+    (theta, j1, j2, j3, a1, a2, a3, theta', c0, c1, c2, c3) holding residues,
+    sorted by (theta', theta) (module docstring).  The cache is keyed by what
+    a table is computed from, p, alpha and the bracket tensor, so an algebra
+    whose bracket table was altered gets its own; a build that raises
+    caches nothing.
     """
+    digest = hashlib.sha256(algebra.ad.tobytes()).digest()
+    key = (algebra.p, algebra.alpha, digest)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _build_crossing_table(algebra)
+    return table
 
-    _cross = VermaModule._cross  # the one crossing recursion, on packed lanes
 
-    def __init__(self, algebra: SuperAlgebra, chi):
-        p = algebra.p
-        self.algebra = algebra
-        self.p = p
-        self.chi = tuple(c % p for c in chi)
-        self.lane_bits = (27 * (p - 1) ** 7).bit_length()
-        # modules at lambda = 0, e1, e2, e3, which straighten the y-tails
-        self._references = tuple(
-            VermaModule(algebra, lam, chi)
-            for lam in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        )
-        self._columns: dict[tuple[int, int], tuple[int, ...]] = {}
-        # (generator, level, remaining f-exponents, theta code) -> packed lanes
-        self._crossings: dict[tuple, dict[int, int]] = {}
+def _build_crossing_table(algebra: SuperAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """Paths D_2^j3 D_1^j2 D_0^j1 joined with the 272 tails g' y^theta v.
 
-    def module(self, lam) -> VermaModule:
-        """The module with this slice's algebra and chi at highest weight lam."""
-        return VermaModule(self.algebra, lam, self.chi, self)
-
-    def column(self, g: int, n: int) -> tuple[int, ...]:
-        """The affine column of g * n, flat: (m, c0, c1, c2, c3, m', ...)."""
-        out = self._columns.get((g, n))
-        if out is None:
-            p, w = self.p, self.lane_bits
-            mask = (1 << w) - 1
-            i1, i2, i3, code = decode(n, p)
-            flat: list[int] = []
-            for m, x in self._cross(g, 0, (i1, i2, i3), code).items():
-                lanes = [(x >> j * w & mask) % p for j in range(4)]
-                if any(lanes):
-                    flat += [m, *lanes]
-            out = self._columns[g, n] = tuple(flat)
-        return out
-
-    def _tail(self, g: int, code: int) -> dict[int, int]:
-        """The packed affine coordinates of g y^code v."""
-        word = [g, *Y_WORDS[code]]
-        base, *units = (m.normal_form(word) for m in self._references)
-        p, w = self.p, self.lane_bits
-        out: dict[int, int] = {}
+    Raises ConsistencyError where ad f_k^3 != 0 or a row leaves the weight
+    or parity grading, which no bracket table of D(2,1;alpha) does.
+    """
+    p = algebra.p
+    # tails, one row per monomial: (g', theta, a1, a2, a3, theta', c0, c1, c2, c3)
+    references = [VermaModule(algebra, lam, (0, 0, 0)) for lam in _REFERENCE_LAMBDAS]
+    tails = []
+    for g, code in itertools.product(range(17), range(16)):
+        base, *units = (m.normal_form([g, *Y_WORDS[code]]) for m in references)
         for n in set(base).union(*units):
             c0 = base.get(n, 0)
-            lanes = ((u.get(n, 0) - c0) % p << j * w for j, u in enumerate(units, 1))
-            out[n] = c0 + sum(lanes)
-        return out
+            slopes = [(u.get(n, 0) - c0) % p for u in units]
+            tails.append((g, code, *decode(n, p), c0, *slopes))
+    tails = np.array(tails, dtype=np.int64).reshape(-1, 10)
+    # powers[k][j][g', g] is the coefficient of g' in D_k^j(g), D_k = [-, f_k]
+    powers = []
+    for k in range(3):
+        D = algebra.ad[:, :, F1 + k].T
+        powers.append([np.eye(17, dtype=np.int64)])
+        for _ in range(3):
+            powers[k].append(D @ powers[k][-1] % p)
+        if powers[k].pop().any():
+            raise ConsistencyError(f"ad f{k + 1} is not nilpotent of order 3")
+    js = list(itertools.product(range(3), repeat=3))
+    paths = np.array([
+        powers[2][j3] @ (powers[1][j2] @ powers[0][j1] % p) % p for j1, j2, j3 in js
+    ])
+    # join each path (j, g -> g') with the tails of g'
+    path, via, g = np.nonzero(paths)
+    joined, tail = np.nonzero(via[:, None] == tails[:, 0])
+    path, g, tails = path[joined], g[joined], tails[tail]
+    coef = paths[path, tails[:, 0], g][:, None] * tails[:, 6:] % p
+    j = np.array(js)[path]
+    keys = np.column_stack([g, tails[:, 5], tails[:, 1], j, tails[:, 2:5]])
+    # merge the rows of one key (one per g'), dropping those that cancel
+    order = np.lexsort(keys.T[::-1])
+    keys, coef = keys[order], coef[order]
+    starts = np.flatnonzero(np.diff(keys, axis=0, prepend=-1).any(axis=1))
+    keys, coef = keys[starts], np.add.reduceat(coef, starts) % p
+    kept = coef.any(axis=1)
+    keys, coef = keys[kept], coef[kept]
+    g, target, theta, j, a = keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3:6], keys[:, 6:]
+    _check_grading(algebra, g, theta, j, a, target)
+    rows = np.column_stack([theta, j, a, target, coef]).astype(np.int32)
+    return rows, np.searchsorted(g, np.arange(18))
+
+
+def _check_grading(algebra: SuperAlgebra, g, theta, j, a, target) -> None:
+    """Raise ConsistencyError unless every row keeps the weight and parity grading.
+
+    A row moves a monomial's weight by -2 (a - j) + wt(theta') - wt(theta),
+    which must be wt(g) mod p, and theta' must have parity |theta| + |g|.
+    """
+    p = algebra.p
+    moved = -2 * (a - j) + _THETA_WEIGHTS[target] - _THETA_WEIGHTS[theta]
+    weight = (moved - np.array(algebra.weights)[g]) % p
+    parity = (monomial_parity(theta) + np.array(PARITY)[g] + monomial_parity(target)) % 2
+    bad = np.flatnonzero(weight.any(axis=1) | parity)
+    if bad.size:
+        r = bad[0]
+        raise ConsistencyError(
+            f"{GENERATOR_NAMES[g[r]]} maps theta code {theta[r]} to theta code "
+            f"{target[r]} with f-shift {tuple(int(x) for x in a[r] - j[r])}, "
+            f"outside the weight-{algebra.weights[g[r]]} shift of its parity"
+        )
 
 
 def verify_module_axioms(p: int, alpha: int, lam, chi) -> list[str]:

@@ -1,13 +1,13 @@
 import pytest
 
-from d21alpha import cohomology
+from d21alpha import enveloping
 
 
 @pytest.fixture(autouse=True)
-def cold_point_slice():
-    """Each test starts with an empty compute_point slice cache.
+def cold_crossing_tables():
+    """Each test starts with an empty crossing-table cache.
 
-    A slice built before a test's monkeypatch (a bracket, MAX_REWRITE_STEPS)
-    would answer from columns filled without it.
+    A table built before a test's monkeypatch (MAX_REWRITE_STEPS, the
+    reference lambdas) would answer without it.
     """
-    cohomology._action_slice.cache_clear()
+    enveloping._TABLES.clear()

@@ -10,7 +10,7 @@ import pytest
 from d21alpha import cli, cohomology, enveloping
 from d21alpha.algebra import E2, build_algebra
 from d21alpha.cli import main
-from d21alpha.cohomology import ConsistencyError, h1, psi_lambda
+from d21alpha.cohomology import ConsistencyError, psi_lambda
 from d21alpha.enveloping import VermaModule
 
 
@@ -334,26 +334,27 @@ def test_divergent_straightening_is_an_inconsistency(monkeypatch, capsys):
 
 @pytest.mark.parametrize("p", [5, 11])
 def test_divergent_straightening_in_a_scan_names_its_point(monkeypatch, capsys, p):
-    """The rewrite-step guard holds in a scan, at a point that fills a slice
-    (p=5) or straightens (p=11).
+    """The rewrite-step guard fires inside the crossing-table build, and the
+    scan names its point.
 
-    With the guard restored, the same point gives the direct module's answer;
-    at p=5 it reads the slice the failed fill left cached.
+    The failed build caches nothing: with the guard restored, the same point
+    builds a correct table and gives the paper's superdimension.
     """
     lam = psi_lambda(1, p)
     with monkeypatch.context() as patch:
         patch.setattr(enveloping, "MAX_REWRITE_STEPS", 1)
+        with pytest.raises(ConsistencyError, match="exceeded 1 rewrite steps"):
+            enveloping.crossing_table(build_algebra(p, 2))
         code, out, err = run(capsys, "scan", "--p", str(p), "--alpha", "2",
                              "--lambda", ",".join(map(str, lam)), "--jobs", "1")
     assert code == 2
     assert out == ""
     assert (f"p={p} alpha=2 lambda={lam} chi=(0, 0, 0): straightening "
             "exceeded 1 rewrite steps") in err
+    assert enveloping._TABLES == {}
     s = cohomology.compute_point(p, 2, lam, (0, 0, 0))
-    direct = h1(VermaModule(build_algebra(p, 2), lam, (0, 0, 0)))
-    assert (s.dim_even, s.dim_odd) == direct.sdim
-    filled = p <= cohomology.SLICE_MAX_P
-    assert cohomology._action_slice.cache_info().hits == int(filled)
+    assert (s.dim_even, s.dim_odd) == (6, 0)
+    assert [key[:2] for key in enveloping._TABLES] == [(p, 2)]
 
 
 def test_verma_dump(capsys):

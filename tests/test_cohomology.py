@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from d21alpha import cohomology, linalg
+from d21alpha import cohomology, enveloping, linalg
 from d21alpha.algebra import (
     F1, GENERATOR_INDEX, GENERATOR_NAMES, H1, H3, PARITY, X2, Y1, build_algebra,
 )
@@ -16,10 +16,9 @@ from d21alpha.cohomology import (
     psi_lambda,
 )
 from d21alpha.enveloping import (
-    J1_CODES, J3_CODES, THETA_BITS, ActionSlice, VermaModule, decode,
-    monomial_parity,
+    J1_CODES, J3_CODES, THETA_BITS, VermaModule, decode, monomial_parity,
 )
-from helpers import whole_identity
+from helpers import whole_identity, word
 
 P = 5
 ALPHA = 2
@@ -286,12 +285,25 @@ def test_compute_point_summary_is_picklable():
     assert pickle.loads(pickle.dumps(s)) == s
 
 
+class _WordModule(VermaModule):
+    """A module whose blocks are normal_form of whole words, with no crossing table."""
+
+    def column(self, g, betas):
+        out = np.zeros((len(betas), 16, 16), dtype=np.int64)
+        for k, beta in enumerate(betas):
+            space = self.weight_basis(self._shifted(beta, g))
+            for c, n in enumerate(self.weight_basis(beta)):
+                for m, v in self.normal_form([g] + word(monomial=n, p=self.p)).items():
+                    out[k, space.index(m), c] = v
+        return out
+
+
 def test_slice_module_h1_matches_straightening(alg):
-    """h1 of slice-made modules: sdim, graded dims and representatives."""
-    action = ActionSlice(alg, (0, 0, 0))
+    """h1 of table modules across the slice against modules that straighten
+    whole words: sdim, graded dims and representatives."""
     for lam in ((2, 3, 3), (2, 3, 0), (2, 0, 3), (3, 2, 2), (0, 0, 0), (1, 4, 2)):
-        made = h1(action.module(lam))
-        direct = h1(VermaModule(alg, lam, (0, 0, 0)))
+        made = h1(VermaModule(alg, lam, (0, 0, 0)))
+        direct = h1(_WordModule(alg, lam, (0, 0, 0)))
         assert made.sdim == direct.sdim, lam
         assert made.graded_dims == direct.graded_dims, lam
         assert made.to_json_dict() == direct.to_json_dict(), lam
@@ -300,11 +312,9 @@ def test_slice_module_h1_matches_straightening(alg):
 
 
 def test_compute_point_across_interleaved_slices():
-    """Slices taken in turn (alpha 1 and 2, chi 0 and not) never answer for another.
-
-    Two consecutive points per (alpha, chi): the first fills a slice, the
-    second reads it, and the next key replaces it.  The slices come back in
-    another order.
+    """Points of alpha 1 and 2, chi 0 and not, taken in turn, each get their
+    own answer; the process keeps one crossing table per algebra, whatever
+    chi is.
     """
     rng = random.Random(11)
     slices = [(1, (0, 0, 0)), (2, (0, 0, 0)), (1, (1, 0, 3)), (2, (1, 0, 3))]
@@ -314,34 +324,19 @@ def test_compute_point_across_interleaved_slices():
         lam = special[k % 3]
         if k % 4 >= 2:
             lam = tuple(rng.randrange(P) for _ in range(3))
-        before = cohomology._action_slice.cache_info()
         s = compute_point(P, alpha, lam, chi)
-        after = cohomology._action_slice.cache_info()
-        assert after.hits - before.hits == k % 2  # the second point shares
-        assert after.misses - before.misses == 1 - k % 2
-        assert after.currsize == 1
         fresh = h1(VermaModule(build_algebra(P, alpha), lam, chi))
         assert (s.dim_even, s.dim_odd) == fresh.sdim, (alpha, lam, chi)
+    assert sorted(key[:2] for key in enveloping._TABLES) == [(P, 1), (P, 2)]
 
 
 def test_compute_point_reduces_before_it_caches():
-    """Unreduced inputs read the slice of their residues."""
+    """Unreduced inputs read the crossing table of their residues."""
     first = compute_point(P, ALPHA, (2, 3, 0), (1, 0, 0))
     again = compute_point(P, ALPHA + P, (7, -2, 5), (1 + P, 0, 0))
-    info = cohomology._action_slice.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert cohomology._action_slice(P, ALPHA, (1, 0, 0)).chi == (1, 0, 0)
-    assert cohomology._action_slice.cache_info().hits == 2
+    assert [key[:2] for key in enveloping._TABLES] == [(P, ALPHA)]
     assert first == again
     assert again.alpha == ALPHA and again.chi_f == (1, 0, 0)
-
-
-def test_compute_point_straightens_above_the_slice_bound():
-    p = cohomology.SLICE_MAX_P + 4  # 11
-    for lam in ((1, 2, 3), (1, 2, 4)):
-        compute_point(p, ALPHA, lam, (0, 0, 0))
-    info = cohomology._action_slice.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def _defects_by_pairs(phi, module):
@@ -426,9 +421,8 @@ def _assert_generator_pairs_suffice(module):
 
 @pytest.mark.parametrize("chi", [(0, 0, 0), (1, 0, 3)])
 def test_generator_pairs_suffice_on_a_whole_slice(alg, chi):
-    action = ActionSlice(alg, chi)
     for lam in itertools.product(range(P), repeat=3):
-        _assert_generator_pairs_suffice(action.module(lam))
+        _assert_generator_pairs_suffice(VermaModule(alg, lam, chi))
 
 
 @pytest.mark.parametrize("p,alpha", [
@@ -463,6 +457,23 @@ def test_a_wrong_chain_step_raises(alg, monkeypatch, g):
 
     monkeypatch.setattr(GradedLayout, "chain_map", doubled)
     with pytest.raises(ConsistencyError, match="chain map"):
+        h1(VermaModule(alg, psi_lambda(1, P), (0, 0, 0)))
+
+
+def test_h1_names_the_representative_that_fails(alg, monkeypatch):
+    """h1 checks the representatives of a parity in one evaluation, one
+    column each, and names a failing one by its column."""
+    original = GradedLayout._operator
+
+    def faulty(self, pairs, coords):
+        values = original(self, pairs, coords)
+        if coords.shape[2] == 6:  # the six representatives at psi1's point
+            values = values.copy()
+            values[-1, 3, 4] = 1
+        return values
+
+    monkeypatch.setattr(GradedLayout, "_operator", faulty)
+    with pytest.raises(ConsistencyError, match="representative 4 of parity 0 fails"):
         h1(VermaModule(alg, psi_lambda(1, P), (0, 0, 0)))
 
 

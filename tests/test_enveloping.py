@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from d21alpha import enveloping
 from d21alpha.algebra import (
-    E1, E2, F1, GENERATOR_INDEX, H1, H3, PARITY, X1, Y1, Y4, build_algebra,
-    generator_weight, representation_defects,
+    E1, E2, F1, GENERATING_CHAIN, GENERATOR_INDEX, H1, H3, PARITY, X1, Y1, Y4,
+    build_algebra, generator_weight, representation_defects,
 )
 from d21alpha.cohomology import h1
 from d21alpha.enveloping import (
-    DERIVED_GENS, J1_CODES, J3_CODES, ActionSlice, ConsistencyError, VermaModule,
-    decode, encode, monomial_parity, monomial_weight, theta_tuple,
-    verify_module_axioms,
+    J1_CODES, J3_CODES, ConsistencyError, VermaModule, decode, encode,
+    monomial_parity, monomial_weight, theta_tuple, verify_module_axioms,
 )
 from helpers import with_perturbed_bracket, word
 
@@ -195,9 +195,19 @@ def test_act_examples(module):
     assert _column(module, "x1", y4v) == {0: expected}
 
 
+def _block_column(module, g, n, block=None):
+    """g * (basis monomial n) read off the block of n's weight space, as
+    {index: coefficient}; block defaults to module.block(g, weight of n)."""
+    beta = module.weight_of_monomial(n)
+    if block is None:
+        block = module.block(g, beta)
+    targets = module.weight_basis(module._shifted(beta, g))
+    return {targets[r]: int(v) for r, v in enumerate(block[:, n & 15]) if v}
+
+
 @pytest.mark.parametrize("fixture", ["module", "module_chi"])
 def test_columns_agree_with_direct_straightening(fixture, request):
-    """Closed-form, commutator and assembled blocks match the rewriting engine."""
+    """Blocks and assembled matrices match the rewriting engine on whole words."""
     module = request.getfixturevalue(fixture)
     rng = random.Random(99)
     sample = [rng.randrange(module.dim) for _ in range(40)]
@@ -207,20 +217,22 @@ def test_columns_agree_with_direct_straightening(fixture, request):
             direct = module.normal_form([g] + word(monomial=n, p=module.p))
             col = mat[:, n].tocoo()
             assert {int(r): int(v) for r, v in zip(col.row, col.data)} == direct
+            assert _block_column(module, g, n) == direct
 
 
 @pytest.fixture
 def reduced_columns(monkeypatch):
-    """Every column read while the test runs holds residues in 1..p-1 only.
+    """Every column call while the test runs returns residues 0..p-1 only.
 
-    ``block`` drops nothing itself: a zero left in a column would fall
-    outside the allowed codes and an unreduced value would enter a block.
+    ``block`` and ``action_matrix`` reduce nothing themselves: an unreduced
+    value would enter a block.
     """
     column = VermaModule.column
 
-    def checked(module, g, n):
-        out = column(module, g, n)
-        assert all(0 < v < module.p for v in out.values()), (g, n, out)
+    def checked(module, g, betas):
+        out = column(module, g, betas)
+        assert out.shape == (len(betas), 16, 16), (g, out.shape)
+        assert ((0 <= out) & (out < module.p)).all(), (g, betas)
         return out
 
     monkeypatch.setattr(VermaModule, "column", checked)
@@ -238,26 +250,28 @@ def test_crossing_edge_cases_match_direct_straightening(
 
     Codes 6 and 9 hold y2 y3 and y1 y4, whose brackets put an f1 back into
     the f-segment.  At p=31 the all-(p-1) monomial is left out: the direct
-    straightening takes seconds there.  The rewriting system is the oracle
-    of a directly built module and of one that reads an ActionSlice.
+    straightening takes seconds there.  The oracle is normal_form of the
+    whole word g f1^i1 f2^i2 f3^i3 y^theta; each column is read from one
+    ``column`` call on its weight and from ``block``.
     """
-    alg = build_algebra(p, 2)
-    module = VermaModule(alg, (1, 2, 3), chi)
-    made = ActionSlice(alg, chi).module((1, 2, 3))
+    module = VermaModule(build_algebra(p, 2), (1, 2, 3), chi)
     for exps in itertools.product((0, 1, p - 1), repeat=3):
         if p > 5 and exps == (p - 1,) * 3:
             continue
         for code in codes:
             n = encode(*exps, code, p)
             letters = word(monomial=n, p=p)
+            beta = module.weight_of_monomial(n)
             for g in range(17):
                 expected = module.normal_form([g] + letters)
-                assert module.column(g, n) == expected, (g, exps, code)
-                assert made.column(g, n) == expected, (g, exps, code)
+                block = module.column(g, (beta,))[0]
+                assert _block_column(module, g, n, block) == expected, (g, exps, code)
+                assert _block_column(module, g, n) == expected, (g, exps, code)
 
 
 def test_blocks_do_not_depend_on_request_order():
-    """The crossing cache holds no state of the column that filled it."""
+    """A block holds no state of the request that filled it, and a column
+    call over many weights gives the blocks of one weight at a time."""
     alg = build_algebra(7, 3)
     first, second = (VermaModule(alg, (1, 5, 2), (2, 0, 5)) for _ in range(2))
     rng = random.Random(5)
@@ -271,27 +285,35 @@ def test_blocks_do_not_depend_on_request_order():
     rng.shuffle(shuffled)
     for key in shuffled:
         assert (second.block(*key) == got[key]).all(), key
+    for g in range(17):
+        betas = tuple(beta for h, beta in requests if h == g)
+        together = VermaModule(alg, (1, 5, 2), (2, 0, 5)).column(g, betas)
+        assert all((B == got[g, beta]).all() for B, beta in zip(together, betas))
 
 
-def _slice_block_mismatches(action, lambdas, rng=None) -> list:
-    """(lambda, g, beta) of each block where action.module(lambda) differs
-    from a directly built module.
+def _block_mismatches(alg, chi, lambdas, rng, per_lambda=1) -> list:
+    """(lambda, g, monomial) of each sampled column where the module's block
+    differs from normal_form of the whole word.
 
-    Every block(g, weights[u]) that the derivation identity reads; with rng,
-    also blocks at four random weights per lambda, so that columns of other
-    f-exponents are evaluated.
+    Per lambda and generator, per_lambda source monomials: at p <= 7 any,
+    above that one f-exponent in {p-2, p-1} and the others in {0, 1, 2}, so
+    that f^p wraps to chi while the word stays short enough to straighten.
     """
-    alg, p = action.algebra, action.p
+    p = alg.p
     bad = []
     for lam in lambdas:
-        made, direct = action.module(lam), VermaModule(alg, lam, action.chi)
-        betas = list(alg.weights)
-        if rng:
-            betas += [tuple(rng.randrange(p) for _ in range(3)) for _ in range(4)]
+        module = VermaModule(alg, lam, chi)
         for g in range(17):
-            for beta in betas:
-                if (made.block(g, beta) != direct.block(g, beta)).any():
-                    bad.append((lam, g, beta))
+            for _ in range(per_lambda):
+                if p <= 7:
+                    exps = [rng.randrange(p) for _ in range(3)]
+                else:
+                    exps = [rng.randrange(3) for _ in range(3)]
+                    exps[rng.randrange(3)] = p - 1 - rng.randrange(2)
+                n = encode(*exps, rng.randrange(16), p)
+                direct = module.normal_form([g] + word(monomial=n, p=p))
+                if _block_column(module, g, n) != direct:
+                    bad.append((lam, g, n))
     return bad
 
 
@@ -299,82 +321,45 @@ def _slice_block_mismatches(action, lambdas, rng=None) -> list:
     (5, 2, (0, 0, 0), None),  # every lambda of the slice
     (5, 3, (1, 2, 4), 12),
     (7, 3, (2, 0, 5), 12),
-    (101, 3, (100, 100, 100), 12),  # the widest lanes
+    (101, 3, (100, 100, 100), 12),  # every wrap multiplies by p-1
 ])
 def test_slice_blocks_match_straightening(p, alpha, chi, sample, reduced_columns):
-    """A slice-made module's blocks equal those of a directly built one."""
-    action = ActionSlice(build_algebra(p, alpha), chi)
+    """Table blocks over the lambda of a slice agree with the word oracle."""
     lambdas = list(itertools.product(range(p), repeat=3))
     rng = random.Random(p)
     if sample:
         lambdas = rng.sample(lambdas, sample)
-    assert _slice_block_mismatches(action, lambdas, rng if sample else None) == []
+    per_lambda = 4 if p <= 7 else 2
+    bad = _block_mismatches(build_algebra(p, alpha), chi, lambdas, rng, per_lambda)
+    assert bad == []
 
 
-def test_slice_oracle_catches_a_wrong_reference_lambda():
-    """A reference module at lambda = 2 e2 in place of e2 doubles every c2."""
+def test_slice_oracle_catches_a_wrong_reference_lambda(monkeypatch):
+    """Tails straightened at 2 e2 in place of e2 double every c2 of the table."""
+    monkeypatch.setattr(
+        enveloping, "_REFERENCE_LAMBDAS", ((0, 0, 0), (1, 0, 0), (0, 2, 0), (0, 0, 1))
+    )
+    rng = random.Random(5)
+    lambdas = rng.sample(list(itertools.product(range(5), repeat=3)), 6)
+    assert _block_mismatches(build_algebra(5, 2), (0, 0, 0), lambdas, rng)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_slice_oracle_catches_a_sign_flipped_crossing(k):
+    """D_k = [-, f_k] read with the opposite sign fails the word oracle.
+
+    Only the table reads the altered tensor; normal_form keeps the true
+    brackets.  The tensor is part of the table's cache key, so the altered
+    algebra gets a table of its own.
+    """
     alg = build_algebra(5, 2)
-    action = ActionSlice(alg, (0, 0, 0))
-    references = list(action._references)
-    references[2] = VermaModule(alg, (0, 2, 0), action.chi)
-    action._references = tuple(references)
-    lambdas = random.Random(5).sample(list(itertools.product(range(5), repeat=3)), 6)
-    assert _slice_block_mismatches(action, lambdas)
-
-
-def test_slice_oracle_catches_lanes_that_carry():
-    """Lanes of 8 bits carry into each other at p=101 with chi = p-1.
-
-    Every wrap there multiplies by the largest residue.  At p=5 the same
-    fault leaves every compared block intact, so this case runs at p=101.
-    """
-    p = 101
-    action = ActionSlice(build_algebra(p, 3), (p - 1,) * 3)
-    action.lane_bits = 8
-    rng = random.Random(p)
-    lambdas = rng.sample(list(itertools.product(range(p), repeat=3)), 2)
-    assert _slice_block_mismatches(action, lambdas, rng)
-
-
-class _LaneModule(VermaModule):
-    """Carries lane j of a slice's packed tails through ``_cross`` unpacked."""
-
-    def __init__(self, action, j):
-        super().__init__(action.algebra, (0, 0, 0), action.chi)
-        self.action, self.shift = action, j * action.lane_bits
-
-    def _tail(self, g, code):
-        mask = (1 << self.action.lane_bits) - 1
-        return {
-            n: x >> self.shift & mask for n, x in self.action._tail(g, code).items()
-        }
-
-
-def test_slice_lanes_stay_below_their_bound():
-    """The unreduced lanes at p=101 with chi = p-1 stay within 27 (p-1)^7.
-
-    chi(f_k) = p-1 makes every wrap multiply by the largest residue.  Each
-    lane is carried through the recursion on its own, and the packed column
-    must equal the lanes shifted into place: no lane carried.
-    """
-    p = 101
-    action = ActionSlice(build_algebra(p, 3), (p - 1,) * 3)
-    w, bound = action.lane_bits, 27 * (p - 1) ** 7
-    assert bound < 1 << w
-    lanes = [_LaneModule(action, j) for j in range(4)]
-    largest = 0
-    for exps in itertools.product((0, 1, p - 2, p - 1), repeat=3):
-        for code in range(16):
-            for g in range(17):
-                packed = action._cross(g, 0, exps, code)
-                parts = [lane._cross(g, 0, exps, code) for lane in lanes]
-                for n in set(packed).union(*parts):
-                    values = [part.get(n, 0) for part in parts]
-                    largest = max(largest, *values)
-                    assert packed.get(n, 0) == sum(
-                        v << j * w for j, v in enumerate(values)
-                    ), (g, exps, code, n)
-    assert 0 < largest <= bound
+    ad = alg.ad.copy()
+    ad[:, :, F1 + k] = -ad[:, :, F1 + k] % alg.p
+    ad.flags.writeable = False
+    alg.__dict__["ad"] = ad  # the cached property's slot
+    rng = random.Random(k)
+    lambdas = rng.sample(list(itertools.product(range(5), repeat=3)), 3)
+    assert _block_mismatches(alg, (1, 2, 3), lambdas, rng, per_lambda=4)
 
 
 def test_block_rejects_action_leaving_its_weight_space(alg):
@@ -478,11 +463,13 @@ def test_lambda_canonicalized():
 
 
 def test_e1_blocks_are_exact_at_a_large_prime():
-    """e1 = [x1, x4] / (2(1+alpha)): the commutator is reduced before scaling."""
+    """The table's e1 blocks are [x1, x4] / (2(1+alpha)) of its x blocks, the
+    (e1, x1, x4) step of GENERATING_CHAIN, in exact integers at a prime where
+    one unreduced product of residues overflows int64."""
     p, alpha = 10_000_019, 2
     alg = build_algebra(p, alpha)
     module = VermaModule(alg, (2, -2, -2), (0, 0, 0))
-    a, b = DERIVED_GENS[E1]
+    a, b = next((a, b) for g, a, b in GENERATING_CHAIN if g == E1)
     scale = pow(2 * (1 + alpha), p - 2, p)
 
     def exact(g, beta):
