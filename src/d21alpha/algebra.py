@@ -316,5 +316,16 @@ def representation_defects(
 
 
 def build_algebra(p: int, alpha: int) -> SuperAlgebra:
-    """Construct D(2,1;alpha) over F_p; alpha must avoid 0 and -1 mod p."""
+    """D(2,1;alpha) over F_p; alpha must avoid 0 and -1 mod p.
+
+    One shared instance per (p, alpha mod p), so the bracket table and ``ad``
+    of the algebras last asked for are built once per process; callers must
+    not alter it.  A scan asks for one algebra at a time; queries that visit
+    many keep at most 8 (about 55 KB each).
+    """
+    return _shared_algebra(p, alpha % p if p else alpha)  # SuperAlgebra refuses p = 0
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_algebra(p: int, alpha: int) -> SuperAlgebra:
     return SuperAlgebra(p, alpha)

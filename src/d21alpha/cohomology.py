@@ -212,15 +212,18 @@ class GradedLayout:
         return rows[rows.any(axis=1)]
 
     def inner_vectors(self) -> np.ndarray:
-        """One row per D_m, m a weight-0 basis monomial of this parity."""
+        """One row per D_m, m a weight-0 basis monomial of this parity.
+
+        D_m(b) = (-1)^{|b||m|} b m: entry (m, (b, theta)) is the sign times
+        the coefficient at theta of b on code m of M_0, one gather from the
+        blocks of every b from M_0 (wt(h1) = 0).
+        """
         module = self.module
-        codes = _CODES[self.parity]
-        vecs = np.zeros((8, self.ncols), dtype=np.int64)
-        for b in range(17):
-            sign = -1 if PARITY[b] and self.parity else 1
-            block = module.generator_blocks[b, H1]  # from M_0, as wt(h1) = 0
-            vecs[:, b * 8:(b + 1) * 8] = sign * block[np.ix_(self.thetas[b], codes)].T
-        return vecs % module.p
+        codes = np.array(_CODES[self.parity])[:, None, None]
+        signs = (-1) ** (np.array(PARITY) * self.parity)[:, None]
+        blocks = module.generator_blocks[:, H1]
+        vecs = signs * blocks[np.arange(17)[:, None], np.array(self.thetas), codes]
+        return vecs.reshape(8, self.ncols) % module.p
 
 
 def _signs(parity: int, a, b):

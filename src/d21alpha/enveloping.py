@@ -30,8 +30,9 @@ Each generator g' of D_2^j3 D_1^j2 D_0^j1(g) leaves a tail g' y^theta v of
 at most five letters, whose normal form is a sum of f1^a1 f2^a2 f3^a3
 y^theta' v.  The f's commute, so a tail term lands on f^(i-j+a) y^theta' v.
 A tail holds at most one f (g' itself, or the bracket of two of its y's), so
-a_k <= 1 < p: the tails never meet chi, and i_k - j_k + a_k reaches p at
-most once, where f_k^p acts as chi(f_k)^p = chi_k.
+a_k <= 1 < p (the build checks it): the tails never meet chi, and
+i_k - j_k + a_k reaches p at most once, where f_k^p acts as chi(f_k)^p = chi_k.
+As i_k < p, that happens only where j_k = 0, a_k = 1 and i_k = p - 1.
 
 A tail is affine in lambda: c0 + lambda_1 c1 + lambda_2 c2 + lambda_3 c3
 (mod p).  Lambda enters only where an h_k reaches v.  In the reduction of
@@ -48,10 +49,15 @@ that depends on the algebra alone (``crossing_table``), each row adding
 
 to theta code theta' of the target weight space.  Every weight space holds
 exactly one monomial per theta code, so a generator acts as one 16x16 block
-per weight, and a block is one scatter-add of the rows of g.
-``VermaModule.column`` evaluates them on a tuple of weights at once; every
-consumer of the action reads its blocks.  The build checks that each row
-keeps the weight and parity grading, so no evaluation has to.
+per weight, and a block is one scatter-add of the rows of g.  The exponent
+i_k of a row's source monomial depends only on the weight space and theta, so
+there its factor of f_k is one of four values: C(i_k, j_k) for j_k = 0, 1, 2,
+or chi_k^[i_k = p - 1] where j_k = 0 and a_k = 1.  ``VermaModule.column``
+tabulates those per weight and theta, and evaluates the rows of a tuple of
+generators on a tuple of weights in one pass; ``generator_blocks``, the
+17 x 17 blocks the derivation identity reads, is one such call.  The build
+checks that each row keeps the weight and parity grading, so no evaluation
+has to.
 tests/test_enveloping.py compares the blocks with ``normal_form`` of whole
 words g f1^i1 f2^i2 f3^i3 y^theta.
 
@@ -149,10 +155,10 @@ class VermaModule:
     """A baby Verma module with lazily materialized generator actions.
 
     The module is determined by (algebra, lambda, chi).  The action of a
-    generator on one weight space is a 16x16 block, evaluated on demand from
-    the algebra's crossing table and cached; full sparse matrices are
-    assembled from blocks only when requested, so weight-graded computations
-    touching a few weight spaces stay cheap.
+    generator on one weight space is a 16x16 block, evaluated from the
+    algebra's crossing table.  The module caches the 17x17 blocks that the
+    derivation identity reads, and full sparse matrices, which are assembled
+    only when requested, so weight-graded computations stay cheap.
     """
 
     def __init__(self, algebra: SuperAlgebra, lam, chi):
@@ -163,7 +169,6 @@ class VermaModule:
         self.chi = tuple(c % p for c in chi)
         self.dim = 16 * p**3
         self.inv2 = pow(2, p - 2, p)
-        self._blocks: dict[tuple[int, tuple[int, int, int]], np.ndarray] = {}
         self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict = {}  # generator -> scipy CSR matrix
 
@@ -341,64 +346,58 @@ class VermaModule:
     def _table(self) -> tuple[np.ndarray, np.ndarray]:
         return crossing_table(self.algebra)
 
-    def column(self, g: int, betas) -> np.ndarray:
-        """The blocks of g from the weight spaces betas, shape (len(betas), 16, 16).
+    def column(self, gens, betas) -> np.ndarray:
+        """The blocks of gens from the weight spaces betas, in one evaluation.
 
-        betas is a tuple of weight triples.  Entry (k, r, c) is the
-        coefficient of w_index(betas[k] + wt g, r) in g * w_index(betas[k], c),
-        an int64 residue: the crossing table's rows of g evaluated at this
-        module's lambda and chi (module docstring), one scatter-add per
-        block.  Every product is reduced.
+        gens is a tuple of generators and betas a tuple of weight triples.
+        The result has shape (len(gens), len(betas), 16, 16): entry
+        (s, k, r, c) is the coefficient of w_index(betas[k] + wt gens[s], r)
+        in gens[s] * w_index(betas[k], c), an int64 residue.  The crossing
+        table's rows of gens are gathered once and evaluated at this module's
+        lambda and chi on every weight at once, each row's factors of f1, f2
+        and f3 read from a table of the four values each can take (module
+        docstring); one scatter-add writes cell (s * 16 + theta') * 16 + theta
+        of each weight.  Every product is reduced.
         """
-        p, lam = self.p, self.lam
-        rows, offsets = self._table
-        rows = rows[offsets[g]:offsets[g + 1]].astype(np.int64)
+        p, lam = self.p, np.array(self.lam)
+        rows, slot = _generator_rows(self._table, gens)
         theta, j, a = rows[:, 0], rows[:, 1:4], rows[:, 4:7]
-        beta = np.array(betas, dtype=np.int64).reshape(-1, 3) % p
-        coef = (rows[:, 8] + rows[:, 9:] @ np.array(lam)) % p  # c0 + lambda . c
-        coef = np.broadcast_to(coef, (len(beta), len(rows)))
+        beta = np.array(betas, dtype=np.int64).reshape(-1, 1, 3) % p
+        # the f-exponents (i1, i2, i3) of the source monomial per weight space
+        # and theta code, and factors[b, theta, k] = (1, i, C(i, 2), chi_k^[i = p-1])
+        i = (lam + _THETA_WEIGHTS - beta) * self.inv2 % p
+        factors = np.empty(i.shape + (4,), dtype=np.int64)
+        factors[..., 0] = 1
+        factors[..., 1] = i
+        factors[..., 2] = i * (i - 1) // 2 % p
+        factors[..., 3] = np.where(i == p - 1, np.array(self.chi), 1)
+        # the column of factors.reshape(len(beta), -1) each row reads per f_k
+        value = np.where((j == 0) & (a == 1), 3, j)
+        index = (theta[:, None] * 3 + np.arange(3)) * 4 + value
+        factors = factors.reshape(len(beta), -1)
+        coef = (rows[:, 8] + rows[:, 9:] @ lam) % p  # c0 + lambda . c
         for k in range(3):
-            # the f_k-exponent of each row's source monomial, per weight space
-            i = (lam[k] + _THETA_WEIGHTS[theta, k] - beta[:, k, None]) * self.inv2 % p
-            binom = np.choose(j[:, k], (1, i, i * (i - 1) // 2 % p))  # C(i, j)
-            coef = coef * binom % p
-            wraps = i - j[:, k] + a[:, k] >= p
-            coef = np.where(wraps, coef * self.chi[k] % p, coef)
-        # the rows are sorted by cell (theta', theta): sum each cell's run
-        cells = rows[:, 7] * 16 + theta
+            coef = coef * factors[:, index[:, k]] % p
+        # the rows run by slot, then by (theta', theta): sum each cell's run
+        cells = (slot * 16 + rows[:, 7]) * 16 + theta
         starts = np.flatnonzero(np.diff(cells, prepend=-1))
-        out = np.zeros((len(beta), 256), dtype=np.int64)
+        out = np.zeros((len(beta), len(gens) * 256), dtype=np.int64)
         out[:, cells[starts]] = np.add.reduceat(coef, starts, axis=1) % p
-        return out.reshape(-1, 16, 16)
+        return out.reshape(len(beta), len(gens), 16, 16).swapaxes(0, 1)
 
     def _shifted(self, beta, g: int) -> tuple[int, int, int]:
         """The weight beta + wt(g), as canonical residues."""
         p, w = self.p, self.algebra.weights[g]
         return (beta[0] + w[0]) % p, (beta[1] + w[1]) % p, (beta[2] + w[2]) % p
 
-    def block(self, g: int, beta) -> np.ndarray:
-        """16x16 int64 matrix of g from M_beta to M_{beta + wt g}, cached.
-
-        Rows and columns are indexed by theta code: entry (r, c) is the
-        coefficient of w_index(beta + wt g, r) in g * w_index(beta, c).
-        """
-        p = self.p
-        beta = (beta[0] % p, beta[1] % p, beta[2] % p)
-        B = self._blocks.get((g, beta))
-        if B is None:
-            B = self._blocks[g, beta] = self.column(g, (beta,))[0]
-            B.flags.writeable = False
-        return B
-
     @functools.cached_property
     def generator_blocks(self) -> np.ndarray:
         """The blocks the derivation identity reads, (17, 17, 16, 16) int64.
 
-        [g, u] is the block of g from M_{wt u}; one ``column`` call per
-        generator.  Read-only.
+        [g, u] is the block of g from M_{wt u}: one ``column`` call on all 17
+        generators and their 17 weights.  Read-only.
         """
-        weights = self.algebra.weights
-        blocks = np.stack([self.column(g, weights) for g in range(17)])
+        blocks = self.column(tuple(range(17)), self.algebra.weights)
         blocks.flags.writeable = False
         return blocks
 
@@ -412,7 +411,7 @@ class VermaModule:
         mat = self._matrices.get(g)
         if mat is None:
             betas = tuple(itertools.product(range(self.p), repeat=3))
-            blocks = self.column(g, betas)
+            blocks = self.column((g,), betas)[0]
             sources = np.array([self.weight_basis(beta) for beta in betas])
             targets = np.array([self.weight_basis(self._shifted(b, g)) for b in betas])
             k, r, c = np.nonzero(blocks)
@@ -462,11 +461,21 @@ def crossing_table(algebra: SuperAlgebra) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
+def _generator_rows(table, gens) -> tuple[np.ndarray, np.ndarray]:
+    """The table's rows of gens, in the order of gens, as int64, and each
+    row's slot: the position in gens of its generator."""
+    rows, offsets = table
+    index = np.concatenate([np.arange(offsets[g], offsets[g + 1]) for g in gens])
+    slot = np.repeat(np.arange(len(gens)), np.diff(offsets)[list(gens)])
+    return rows[index].astype(np.int64), slot
+
+
 def _build_crossing_table(algebra: SuperAlgebra) -> tuple[np.ndarray, np.ndarray]:
     """Paths D_2^j3 D_1^j2 D_0^j1 joined with the 272 tails g' y^theta v.
 
-    Raises ConsistencyError where ad f_k^3 != 0 or a row leaves the weight
-    or parity grading, which no bracket table of D(2,1;alpha) does.
+    Raises ConsistencyError where ad f_k^3 != 0, a tail holds some f_k
+    twice, or a row leaves the weight or parity grading, which no bracket
+    table of D(2,1;alpha) does.
     """
     p = algebra.p
     # tails, one row per monomial: (g', theta, a1, a2, a3, theta', c0, c1, c2, c3)
@@ -507,6 +516,8 @@ def _build_crossing_table(algebra: SuperAlgebra) -> tuple[np.ndarray, np.ndarray
     kept = coef.any(axis=1)
     keys, coef = keys[kept], coef[kept]
     g, target, theta, j, a = keys[:, 0], keys[:, 1], keys[:, 2], keys[:, 3:6], keys[:, 6:]
+    if (a > 1).any():  # column reads one of four factors per f_k (module docstring)
+        raise ConsistencyError("a tail g' y^theta v holds some f_k twice")
     _check_grading(algebra, g, theta, j, a, target)
     rows = np.column_stack([theta, j, a, target, coef]).astype(np.int32)
     return rows, np.searchsorted(g, np.arange(18))

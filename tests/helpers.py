@@ -17,6 +17,12 @@ def word(names=(), monomial: int | None = None, p: int | None = None) -> list[in
     return out
 
 
+def block(module, g: int, beta):
+    """The 16x16 block of generator g from the weight space beta: entry (r, c)
+    is the coefficient of w_index(beta + wt g, r) in g * w_index(beta, c)."""
+    return module.column((g,), (tuple(beta),))[0, 0]
+
+
 def whole_identity(module, parity: int):
     """The derivation identity of all 153 pairs as one (153, 8, 136) operator.
 

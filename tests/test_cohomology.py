@@ -288,13 +288,13 @@ def test_compute_point_summary_is_picklable():
 class _WordModule(VermaModule):
     """A module whose blocks are normal_form of whole words, with no crossing table."""
 
-    def column(self, g, betas):
-        out = np.zeros((len(betas), 16, 16), dtype=np.int64)
-        for k, beta in enumerate(betas):
+    def column(self, gens, betas):
+        out = np.zeros((len(gens), len(betas), 16, 16), dtype=np.int64)
+        for (s, g), (k, beta) in itertools.product(enumerate(gens), enumerate(betas)):
             space = self.weight_basis(self._shifted(beta, g))
             for c, n in enumerate(self.weight_basis(beta)):
                 for m, v in self.normal_form([g] + word(monomial=n, p=self.p)).items():
-                    out[k, space.index(m), c] = v
+                    out[s, k, space.index(m), c] = v
         return out
 
 

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from d21alpha import enveloping
 from d21alpha.algebra import (
     E1, E2, F1, GENERATING_CHAIN, GENERATOR_INDEX, H1, H3, PARITY, X1, Y1, Y4,
-    build_algebra, generator_weight, representation_defects,
+    SuperAlgebra, build_algebra, generator_weight, representation_defects,
 )
-from d21alpha.cohomology import h1
+from d21alpha.cohomology import compute_point, h1
 from d21alpha.enveloping import (
     J1_CODES, J3_CODES, ConsistencyError, VermaModule, decode, encode,
     monomial_parity, monomial_weight, theta_tuple, verify_module_axioms,
 )
-from helpers import with_perturbed_bracket, word
+from helpers import block, with_perturbed_bracket, word
 
 P = 5
 ALPHA = 2
@@ -195,14 +195,14 @@ def test_act_examples(module):
     assert _column(module, "x1", y4v) == {0: expected}
 
 
-def _block_column(module, g, n, block=None):
-    """g * (basis monomial n) read off the block of n's weight space, as
-    {index: coefficient}; block defaults to module.block(g, weight of n)."""
+def _block_column(module, g, n, B=None):
+    """g * (basis monomial n) read off the block B of n's weight space, as
+    {index: coefficient}; B defaults to block(module, g, weight of n)."""
     beta = module.weight_of_monomial(n)
-    if block is None:
-        block = module.block(g, beta)
+    if B is None:
+        B = block(module, g, beta)
     targets = module.weight_basis(module._shifted(beta, g))
-    return {targets[r]: int(v) for r, v in enumerate(block[:, n & 15]) if v}
+    return {targets[r]: int(v) for r, v in enumerate(B[:, n & 15]) if v}
 
 
 @pytest.mark.parametrize("fixture", ["module", "module_chi"])
@@ -222,17 +222,18 @@ def test_columns_agree_with_direct_straightening(fixture, request):
 
 @pytest.fixture
 def reduced_columns(monkeypatch):
-    """Every column call while the test runs returns residues 0..p-1 only.
+    """Every column call while the test runs returns residues 0..p-1 only,
+    one 16x16 block per generator and weight.
 
-    ``block`` and ``action_matrix`` reduce nothing themselves: an unreduced
-    value would enter a block.
+    ``generator_blocks`` and ``action_matrix`` reduce nothing themselves: an
+    unreduced value would enter a block.
     """
     column = VermaModule.column
 
-    def checked(module, g, betas):
-        out = column(module, g, betas)
-        assert out.shape == (len(betas), 16, 16), (g, out.shape)
-        assert ((0 <= out) & (out < module.p)).all(), (g, betas)
+    def checked(module, gens, betas):
+        out = column(module, gens, betas)
+        assert out.shape == (len(gens), len(betas), 16, 16), (gens, out.shape)
+        assert ((0 <= out) & (out < module.p)).all(), (gens, betas)
         return out
 
     monkeypatch.setattr(VermaModule, "column", checked)
@@ -252,7 +253,7 @@ def test_crossing_edge_cases_match_direct_straightening(
     the f-segment.  At p=31 the all-(p-1) monomial is left out: the direct
     straightening takes seconds there.  The oracle is normal_form of the
     whole word g f1^i1 f2^i2 f3^i3 y^theta; each column is read from one
-    ``column`` call on its weight and from ``block``.
+    ``column`` call on all 17 generators at its weight and from ``block``.
     """
     module = VermaModule(build_algebra(p, 2), (1, 2, 3), chi)
     for exps in itertools.product((0, 1, p - 1), repeat=3):
@@ -262,16 +263,17 @@ def test_crossing_edge_cases_match_direct_straightening(
             n = encode(*exps, code, p)
             letters = word(monomial=n, p=p)
             beta = module.weight_of_monomial(n)
+            blocks = module.column(tuple(range(17)), (beta,))[:, 0]
             for g in range(17):
-                expected = module.normal_form([g] + letters)
-                block = module.column(g, (beta,))[0]
-                assert _block_column(module, g, n, block) == expected, (g, exps, code)
-                assert _block_column(module, g, n) == expected, (g, exps, code)
+                expected, where = module.normal_form([g] + letters), (g, exps, code)
+                assert _block_column(module, g, n, blocks[g]) == expected, where
+                assert _block_column(module, g, n) == expected, where
 
 
 def test_blocks_do_not_depend_on_request_order():
     """A block holds no state of the request that filled it, and a column
-    call over many weights gives the blocks of one weight at a time."""
+    call over many generators and weights, in any order, gives the blocks of
+    one generator and weight at a time."""
     alg = build_algebra(7, 3)
     first, second = (VermaModule(alg, (1, 5, 2), (2, 0, 5)) for _ in range(2))
     rng = random.Random(5)
@@ -280,15 +282,19 @@ def test_blocks_do_not_depend_on_request_order():
         for g in range(17)
         for _ in range(6)
     ]
-    got = {key: first.block(*key) for key in requests}
+    got = {key: block(first, *key) for key in requests}
     shuffled = requests[:]
     rng.shuffle(shuffled)
     for key in shuffled:
-        assert (second.block(*key) == got[key]).all(), key
-    for g in range(17):
-        betas = tuple(beta for h, beta in requests if h == g)
-        together = VermaModule(alg, (1, 5, 2), (2, 0, 5)).column(g, betas)
-        assert all((B == got[g, beta]).all() for B, beta in zip(together, betas))
+        assert (block(second, *key) == got[key]).all(), key
+    gens = list(range(17))
+    rng.shuffle(gens)
+    gens = (*gens, gens[0])  # a generator may be asked for twice
+    betas = tuple(dict.fromkeys(beta for _, beta in requests))
+    together = VermaModule(alg, (1, 5, 2), (2, 0, 5)).column(gens, betas)
+    for (s, g), (k, beta) in itertools.product(enumerate(gens), enumerate(betas)):
+        if (g, beta) in got:
+            assert (together[s, k] == got[g, beta]).all(), (g, beta)
 
 
 def _block_mismatches(alg, chi, lambdas, rng, per_lambda=1) -> list:
@@ -350,9 +356,10 @@ def test_slice_oracle_catches_a_sign_flipped_crossing(k):
 
     Only the table reads the altered tensor; normal_form keeps the true
     brackets.  The tensor is part of the table's cache key, so the altered
-    algebra gets a table of its own.
+    algebra gets a table of its own.  The algebra is a fresh one, not the
+    shared instance of build_algebra.
     """
-    alg = build_algebra(5, 2)
+    alg = SuperAlgebra(5, 2)
     ad = alg.ad.copy()
     ad[:, :, F1 + k] = -ad[:, :, F1 + k] % alg.p
     ad.flags.writeable = False
@@ -362,13 +369,77 @@ def test_slice_oracle_catches_a_sign_flipped_crossing(k):
     assert _block_mismatches(alg, (1, 2, 3), lambdas, rng, per_lambda=4)
 
 
+def _generator_block_mismatches(module) -> list:
+    """(g, u, theta code) of each column of generator_blocks[g, u] that
+    differs from normal_form of the whole word g f1^i1 f2^i2 f3^i3 y^theta."""
+    p, blocks = module.p, module.generator_blocks
+    bad = []
+    for u, beta in enumerate(module.algebra.weights):
+        for code, n in enumerate(module.weight_basis(beta)):
+            letters = word(monomial=n, p=p)
+            for g in range(17):
+                direct = module.normal_form([g] + letters)
+                if _block_column(module, g, n, blocks[g, u]) != direct:
+                    bad.append((g, u, code))
+    return bad
+
+
+# lambda keeps the words short; at p=11 some source monomial has an f-exponent
+# p-1 at every nonzero chi_k, so the wraps multiply by chi
+FUSED_POINTS = [(5, (2, 0, 0), (1, 2, 3)), (11, (3, 1, 1), (1, 2, 3))]
+
+
+@pytest.mark.parametrize("p,lam,chi", FUSED_POINTS)
+def test_generator_blocks_match_straightening(p, lam, chi, reduced_columns):
+    """Every one of the 17x17 blocks of the fused evaluation, column by column."""
+    module = VermaModule(build_algebra(p, 2), lam, chi)
+    sources = [decode(n, p) for beta in module.algebra.weights
+               for n in module.weight_basis(beta)]
+    wrapping = [exps for exps in sources if p - 1 in exps[:3]]
+    assert {k for exps in wrapping for k in range(3) if exps[k] == p - 1} == {0, 1, 2}
+    assert _generator_block_mismatches(module) == []
+
+
+def test_generator_block_oracle_catches_a_shifted_slot(monkeypatch):
+    """The rows of x1 scattered into the blocks of the generator after it."""
+    rows_of = enveloping._generator_rows
+
+    def shifted(table, gens):
+        rows, slot = rows_of(table, gens)
+        return rows, np.where(slot == X1, X1 + 1, slot)
+
+    monkeypatch.setattr(enveloping, "_generator_rows", shifted)
+    p, lam, chi = FUSED_POINTS[0]
+    bad = _generator_block_mismatches(VermaModule(build_algebra(p, 2), lam, chi))
+    assert {g for g, _, _ in bad} == {X1, X1 + 1}
+
+
+def test_a_point_evaluates_the_table_once(monkeypatch):
+    """compute_point makes one column call, on all 17 generators and their
+    weights; an action matrix makes one, on its generator and all p^3 weights."""
+    calls = []
+    column = VermaModule.column
+
+    def counted(module, gens, betas):
+        calls.append((gens, betas))
+        return column(module, gens, betas)
+
+    monkeypatch.setattr(VermaModule, "column", counted)
+    alg = build_algebra(5, 2)
+    compute_point(5, 2, (2, 3, 3), (0, 0, 0))
+    assert calls == [(tuple(range(17)), alg.weights)]
+    calls.clear()
+    VermaModule(alg, (1, 4, 2), (1, 0, 3)).action_matrix(E2)
+    assert calls == [((E2,), tuple(itertools.product(range(5), repeat=3)))]
+
+
 def test_block_rejects_action_leaving_its_weight_space(alg):
     # [e2, f2] = h2 + f1: e2 f2 v now has an f1 v term of the wrong weight
     broken = VermaModule(with_perturbed_bracket(alg, "e2", "f2", "f1", 1), LAM,
                          (0, 0, 0))
     f2v = encode(0, 1, 0, 0b0000, P)
     with pytest.raises(ConsistencyError, match="outside the weight"):
-        broken.block(E2, broken.weight_of_monomial(f2v))
+        block(broken, E2, broken.weight_of_monomial(f2v))
 
 
 @pytest.mark.parametrize(
@@ -473,7 +544,7 @@ def test_e1_blocks_are_exact_at_a_large_prime():
     scale = pow(2 * (1 + alpha), p - 2, p)
 
     def exact(g, beta):
-        return module.block(g, beta).astype(object)
+        return block(module, g, beta).astype(object)
 
     for u in range(17):
         beta = alg.weights[u]
