@@ -24,14 +24,18 @@ algebra.GENERATING_SET.
 Nor are all 136 coordinates unknown.  Each step (g, a, b) of
 algebra.GENERATING_CHAIN, [a, b] = c g, solves D(a, b) = 0 for phi(g), so a
 derivation is fixed by its 32 coordinates on the set: phi = T x for the
-per-parity map T of `GradedLayout.chain_map` (136 x 32).
+per-parity map T of `GradedLayout.chain_map` (136 x 32).  D(a, b) reads
+phi(a) and phi(b) through one 8x8 slice of the module's blocks each, so a
+step of T is two 8x8 products.
 `GradedLayout.equations`, the system `h1` solves, is the identity on the 62
 unordered pairs {a, b} with a or b in the set, written in those 32 unknowns:
 its kernel K gives the 0-weight derivations as T K.  Its rows on the 13 chain
 pairs vanish exactly when T solves its own chain, and `equations` checks
-that.  `h1` and `DerivationMap.defects` evaluate the same builder on all
-153 pairs at the maps' own coordinates, so every representative and psi
-family is checked against the whole identity.
+that.  `graded_spaces` brings T K to RREF in the 136 coordinates only where
+it is not the inner span; where H^1 of a parity is 0 the two are one space,
+and one RREF serves both.  `h1` and `DerivationMap.defects` evaluate the
+same builder on all 153 pairs at the maps' own coordinates, so every
+representative and psi family is checked against the whole identity.
 
 The ungraded oracle solves for the full derivation space without the
 0-weight restriction (17 unknown module vectors per parity) and cross-checks
@@ -67,8 +71,6 @@ _GENERATOR_PAIRS = tuple(
 _CHAIN_PAIRS = tuple((a, b) for _, a, b in GENERATING_CHAIN)
 # where the chain pairs sit among the generator pairs
 _CHAIN_ROWS = [_GENERATOR_PAIRS.index(tuple(sorted(q))) for q in _CHAIN_PAIRS]
-# phi(g)'s coordinates in the 136 graded coordinates themselves
-_UNIT = np.eye(17 * 8, dtype=np.int64).reshape(17, 8, 17 * 8)
 
 
 @dataclass
@@ -129,43 +131,50 @@ class GradedLayout:
 
     # -- the linear system -------------------------------------------------
 
+    def _slices(self, pairs):
+        """(a, b, s1 ab, s2 ba) of the pairs (a, b): the signed 8x8 slices.
+
+        ab[e] is the slice of a from M_{beta_b} (a.phi(b)) and ba[e] that
+        of b from M_{beta_a} (b.phi(a)), read from the module's cached
+        generator_blocks: rows are the theta codes of weight beta_a + beta_b
+        and parity |a|+|b|+|phi|, columns those of phi(b) and phi(a).  The
+        one place that gathers slices and signs; entries lie in (-p, p).
+        """
+        odd = np.array(PARITY)
+        a, b = np.array(pairs).T
+        blocks = self.module.generator_blocks  # [g, u] = g from M_{beta_u}
+        rows = np.array(_CODES)[(odd[a] + odd[b] + self.parity) % 2][:, :, None]
+        thetas = np.array(self.thetas)
+        ab = blocks[a[:, None, None], b[:, None, None], rows, thetas[b][:, None]]
+        ba = blocks[b[:, None, None], a[:, None, None], rows, thetas[a][:, None]]
+        s1, s2 = _signs(self.parity, a, b)
+        return a, b, s1[:, None, None] * ab, s2[:, None, None] * ba
+
     def _operator(self, pairs, coords) -> np.ndarray:
         """The identity's rows on the given pairs, in the unknowns of coords.
 
         coords[g] (coords has shape (17, 8, n)) gives phi(g) on its 8 codes
         in n unknowns.  Row e of the result, shape (len(pairs), 8, n), mod p,
         is phi([a,b]) - s1 a.phi(b) + s2 b.phi(a) for (a, b) = pairs[e] in
-        them: c coords[g] for each term c.g of [a,b], minus s1 times the 8x8
-        slice of a times coords[b], plus s2 times that of b times coords[a],
-        one einsum per term.  Its 8 rows are the theta codes of weight
+        them: c coords[g] for each term c.g of [a,b], minus the signed slice
+        s1 ab times coords[b], plus s2 ba times coords[a] (`_slices`), one
+        einsum per term.  Its 8 rows are the theta codes of weight
         beta_a + beta_b and parity |a|+|b|+|phi|; the other 8 vanish by the
         parity grading.  [a,b] has parity |a|+|b|, so phi([a,b]) reads its
         coordinates as they are.  An even diagonal row is 0 = 0, and an odd
-        one reads 2 a.phi(a) = 0, as [a,a] = 0.  chain_map() passes the unit
-        coordinates (n = 136), equations() the chain map T (n = 32), `h1` its
-        n representatives and `DerivationMap.defects` phi itself (n = 1).
-        The slices are read from the module's cached generator_blocks: a
-        from M_{beta_b} and b from M_{beta_a} for each pair.  With coords,
-        blocks and brackets reduced mod p, an entry sums
-        at most 17 + 2*8 products below p^2 before its reduction, so it is
-        exact while 33 (p-1)^2 < 2^63: of the graded path, only
-        `linalg.reduce` needs the tighter 136 (p-1)^2 < 2^63.
+        one reads 2 a.phi(a) = 0, as [a,a] = 0.  equations() passes the
+        chain map T (n = 32), `h1` its n representatives and
+        `DerivationMap.defects` phi itself (n = 1).  With coords, blocks and
+        brackets reduced mod p, an entry sums at most 17 + 2*8 products
+        below p^2 before its reduction, so it is exact while
+        33 (p-1)^2 < 2^63: of the graded path, only `linalg.reduce` needs the
+        tighter 136 (p-1)^2 < 2^63.
         """
-        module, par = self.module, self.parity
-        alg = module.algebra
-        odd = np.array(PARITY)
-        a, b = np.array(pairs).T
-        blocks = module.generator_blocks  # [g, u] = g from M_{beta_u}
-        # ab[e] = a.phi(b) and ba[e] = b.phi(a) on the row codes of pair e
-        rows = np.array(_CODES)[(odd[a] + odd[b] + par) % 2][:, :, None]
-        thetas = np.array(self.thetas)
-        ab = blocks[a[:, None, None], b[:, None, None], rows, thetas[b][:, None]]
-        ba = blocks[b[:, None, None], a[:, None, None], rows, thetas[a][:, None]]
-        s1, s2 = _signs(par, a, b)
-        L = np.einsum("eg,gin->ein", alg.ad[a, :, b], coords)
-        L -= np.einsum("eij,ejn->ein", s1[:, None, None] * ab, coords[b])
-        L += np.einsum("eij,ejn->ein", s2[:, None, None] * ba, coords[a])
-        L %= module.p
+        a, b, ab, ba = self._slices(pairs)
+        L = np.einsum("eg,gin->ein", self.module.algebra.ad[a, :, b], coords)
+        L -= np.einsum("eij,ejn->ein", ab, coords[b])
+        L += np.einsum("eij,ejn->ein", ba, coords[a])
+        L %= self.module.p
         L.flags.writeable = False
         return L
 
@@ -173,10 +182,12 @@ class GradedLayout:
         """T, shape (17, 8, 32): each phi(g) in phi's values on GENERATING_SET.
 
         Unknown 8k + i is coordinate i of the set's k-th member s, so T[s] is
-        a unit block.  Step (g, a, b) of GENERATING_CHAIN reads the row of
-        the pair (a, b) in the 136 coordinates, c phi(g) + A phi(a) + B phi(b),
-        and sets T[g] = -(A T[a] + B T[b]) / c, the sum of 16 products below
-        p^2 reduced before it is scaled.  Cached per module and parity.
+        a unit block.  Step (g, a, b) of GENERATING_CHAIN, [a, b] = c g,
+        solves the identity of the pair (a, b),
+        c phi(g) - s1 ab phi(b) + s2 ba phi(a) = 0, on its signed slices:
+        T[g] = -(s2 ba T[a] - s1 ab T[b]) / c, the sum of 16 products of
+        magnitude below p^2 reduced before it is scaled.  Cached per module
+        and parity.
         """
 
         def build():
@@ -184,11 +195,11 @@ class GradedLayout:
             T = np.zeros((17, 8, 8 * len(GENERATING_SET)), dtype=np.int64)
             for k, s in enumerate(GENERATING_SET):
                 T[s, :, 8 * k:8 * k + 8] = np.eye(8, dtype=np.int64)
-            rows = self._operator(_CHAIN_PAIRS, _UNIT).reshape(-1, 8, 17, 8)
+            _, _, ab, ba = self._slices(_CHAIN_PAIRS)
             brackets = self.module.algebra.bracket_items
-            for (g, a, b), L in zip(GENERATING_CHAIN, rows):
+            for (g, a, b), s1ab, s2ba in zip(GENERATING_CHAIN, ab, ba):
                 inverse = pow(dict(brackets[a][b])[g], p - 2, p)
-                T[g] = -(L[:, a] @ T[a] + L[:, b] @ T[b]) % p * inverse % p
+                T[g] = -(s2ba @ T[a] - s1ab @ T[b]) % p * inverse % p
             T.flags.writeable = False
             return T
 
@@ -244,7 +255,13 @@ def graded_spaces(module: VermaModule, parity: int) -> tuple[np.ndarray, np.ndar
     """(0-weight derivation kernel, inner span) as RREF arrays, cached per module.
 
     Both are in the 136 graded coordinates: the kernel of equations() is
-    solved in 32 unknowns and lifted by the chain map.
+    solved in 32 unknowns and lifted by the chain map.  The lifted basis is
+    independent (T holds a unit block per member of GENERATING_SET), so
+    where it has as many rows as the inner RREF and each row lies in the
+    inner span, the two spans are equal and the inner RREF is the kernel's
+    too: the same array, returned twice.  That holds at every point with
+    H^1 = 0 in this parity; elsewhere the lifted basis is brought to RREF.
+    Both arrays are read-only.
     """
 
     def build():
@@ -252,7 +269,14 @@ def graded_spaces(module: VermaModule, parity: int) -> tuple[np.ndarray, np.ndar
         layout = GradedLayout(module, parity)
         T = layout.chain_map().reshape(layout.ncols, -1)
         kernel = linalg.kernel_basis(layout.equations(), p) @ T.T
-        return linalg.rref(kernel, p)[0], linalg.rref(layout.inner_vectors(), p)[0]
+        inner = linalg.rref(layout.inner_vectors(), p)[0]
+        if len(kernel) == len(inner) and not linalg.reduce(inner, kernel, p).any():
+            kernel = inner
+        else:
+            kernel = linalg.rref(kernel, p)[0]
+        kernel.flags.writeable = False
+        inner.flags.writeable = False
+        return kernel, inner
 
     return _cached(module, ("spaces", parity), build)
 

@@ -169,7 +169,6 @@ class VermaModule:
         self.chi = tuple(c % p for c in chi)
         self.dim = 16 * p**3
         self.inv2 = pow(2, p - 2, p)
-        self._spaces: dict[tuple[int, int, int], tuple[int, ...]] = {}
         self._matrices: dict = {}  # generator -> scipy CSR matrix
 
     # -- monomial bookkeeping ------------------------------------------------
@@ -194,15 +193,16 @@ class VermaModule:
         )
 
     def weight_basis(self, beta) -> tuple[int, ...]:
-        """Indices of the 16 monomials of weight beta, by theta code, cached."""
+        """Indices of the 16 monomials of weight beta, by theta code."""
+        return tuple(self.w_index(beta, code) for code in range(16))
+
+    def _exponents(self, betas) -> np.ndarray:
+        """The f-exponents (i1, i2, i3) of the monomial of each theta code in
+        each weight space of betas, shape (len(betas), 16, 3): w_index's
+        solve, on every weight at once."""
         p = self.p
-        beta = (beta[0] % p, beta[1] % p, beta[2] % p)
-        space = self._spaces.get(beta)
-        if space is None:
-            space = self._spaces[beta] = tuple(
-                self.w_index(beta, code) for code in range(16)
-            )
-        return space
+        beta = np.array(betas, dtype=np.int64).reshape(-1, 1, 3) % p
+        return (np.array(self.lam) + _THETA_WEIGHTS - beta) * self.inv2 % p
 
     def weight_decomposition(self) -> dict[tuple[int, int, int], list[int]]:
         """Monomial indices grouped by weight, in index order."""
@@ -362,33 +362,27 @@ class VermaModule:
         p, lam = self.p, np.array(self.lam)
         rows, slot = _generator_rows(self._table, gens)
         theta, j, a = rows[:, 0], rows[:, 1:4], rows[:, 4:7]
-        beta = np.array(betas, dtype=np.int64).reshape(-1, 1, 3) % p
         # the f-exponents (i1, i2, i3) of the source monomial per weight space
         # and theta code, and factors[b, theta, k] = (1, i, C(i, 2), chi_k^[i = p-1])
-        i = (lam + _THETA_WEIGHTS - beta) * self.inv2 % p
+        i = self._exponents(betas)
         factors = np.empty(i.shape + (4,), dtype=np.int64)
         factors[..., 0] = 1
         factors[..., 1] = i
         factors[..., 2] = i * (i - 1) // 2 % p
         factors[..., 3] = np.where(i == p - 1, np.array(self.chi), 1)
-        # the column of factors.reshape(len(beta), -1) each row reads per f_k
+        # the column of factors.reshape(len(i), -1) each row reads per f_k
         value = np.where((j == 0) & (a == 1), 3, j)
         index = (theta[:, None] * 3 + np.arange(3)) * 4 + value
-        factors = factors.reshape(len(beta), -1)
+        factors = factors.reshape(len(i), -1)
         coef = (rows[:, 8] + rows[:, 9:] @ lam) % p  # c0 + lambda . c
         for k in range(3):
             coef = coef * factors[:, index[:, k]] % p
         # the rows run by slot, then by (theta', theta): sum each cell's run
         cells = (slot * 16 + rows[:, 7]) * 16 + theta
         starts = np.flatnonzero(np.diff(cells, prepend=-1))
-        out = np.zeros((len(beta), len(gens) * 256), dtype=np.int64)
+        out = np.zeros((len(i), len(gens) * 256), dtype=np.int64)
         out[:, cells[starts]] = np.add.reduceat(coef, starts, axis=1) % p
-        return out.reshape(len(beta), len(gens), 16, 16).swapaxes(0, 1)
-
-    def _shifted(self, beta, g: int) -> tuple[int, int, int]:
-        """The weight beta + wt(g), as canonical residues."""
-        p, w = self.p, self.algebra.weights[g]
-        return (beta[0] + w[0]) % p, (beta[1] + w[1]) % p, (beta[2] + w[2]) % p
+        return out.reshape(len(i), len(gens), 16, 16).swapaxes(0, 1)
 
     @functools.cached_property
     def generator_blocks(self) -> np.ndarray:
@@ -405,15 +399,19 @@ class VermaModule:
 
     def action_matrix(self, g: int):
         """Sparse matrix of the generator action, from one ``column`` call
-        over all p^3 weights."""
+        over all p^3 weights; the monomial indices of the source and target
+        weight spaces are one ``encode`` each, over all weights and codes."""
         import scipy.sparse as sp  # only whole-module work builds one
 
         mat = self._matrices.get(g)
         if mat is None:
-            betas = tuple(itertools.product(range(self.p), repeat=3))
+            p = self.p
+            betas = tuple(itertools.product(range(p), repeat=3))
             blocks = self.column((g,), betas)[0]
-            sources = np.array([self.weight_basis(beta) for beta in betas])
-            targets = np.array([self.weight_basis(self._shifted(b, g)) for b in betas])
+            codes = np.arange(16)
+            sources = encode(*np.moveaxis(self._exponents(betas), 2, 0), codes, p)
+            shifted = np.array(betas) + self.algebra.weights[g]
+            targets = encode(*np.moveaxis(self._exponents(shifted), 2, 0), codes, p)
             k, r, c = np.nonzero(blocks)
             mat = self._matrices[g] = sp.csr_matrix(
                 (blocks[k, r, c], (targets[k, r], sources[k, c])),

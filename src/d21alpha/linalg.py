@@ -1,17 +1,22 @@
 """Exact linear algebra over F_p: RREF, rank, kernels, residues.
 
 One elimination, `rref`, serves every caller.  It reduces its input mod p
-once and then, at each pivot (r, c), updates only the rows that are nonzero
-in column c, and only their columns from c on: a row that is 0 in column c
-does not change, and the pivot row is 0 left of c.  The updates are not
-reduced.  Column c is reduced before its nonzero test and the pivot row
-before it is scaled, so both factors of an update lie in [0, p): an entry
-only goes down, by at most (p-1)^2 per pivot, and after k pivots it lies
-in [-k(p-1)^2, p).  The whole matrix is reduced after every
-floor(2^63 / (p-1)^2) pivots and once at the end.  That budget is 9·10^14
-at p = 101, 2 at p = 2^31 - 1 and 1 at the largest p with (p-1)^2 < 2^63,
-so the loop is exact in int64 for p < 3·10^9.  Kernels are read off the RREF
-(the graded derivation systems); a subspace is its RREF array, and
+once and moves no row.  The pivot of column c is the first row, in input
+order, that is nonzero in c and has not yet held a pivot; it is marked and
+left where it is, and the result is the pivot rows in pivot order, which is
+the same canonical RREF that row swaps would give.  At each pivot (i, c) it
+updates only the rows that are nonzero in column c, and only their columns
+from c on: a row that is 0 in column c does not change, and the pivot row
+is 0 left of c.  The updates are not reduced.  Column c is reduced before
+its nonzero test and the pivot row before it is scaled, so both factors of
+an update lie in [0, p): an entry only goes down, by at most (p-1)^2 per
+pivot, and after k pivots it lies in [-k(p-1)^2, p).  The whole matrix is
+reduced after every floor(2^63 / (p-1)^2) pivots and once at the end.
+That budget is 9·10^14 at p = 101, 2 at p = 2^31 - 1 and 1 at the largest
+p with (p-1)^2 < 2^63, so the loop is exact in int64 for p < 3·10^9.  A
+row that has held a pivot is still updated at later pivots, like any
+other, so the budget counts pivots, not rows.  Kernels are read off the
+RREF (the graded derivation systems); a subspace is its RREF array, and
 `reduce` takes residues modulo it.  `mod` is the one mod-p reduction of a
 dense array or a scipy sparse matrix (the axiom checks' products, the
 oracle's systems).  The rank of a sparse system (the ungraded oracle) is read
@@ -26,40 +31,44 @@ import numpy as np
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns).
+
+    No row moves: the pivot rows are read out in pivot order at the end.
+    """
     R = np.array(mat, dtype=np.int64) % p
     rows, cols = R.shape
     # pivots between full reductions: each lowers an entry by at most (p-1)^2
     budget = 2**63 // (p - 1) ** 2
     pivots: list[int] = []
-    r = 0
+    order: list[int] = []  # the pivot rows, in pivot order; they stay in place
+    free = np.ones(rows, dtype=bool)
     for c in range(cols):
-        if r == rows:
+        if len(pivots) == rows:
             break
         R[:, c] %= p
         nz = np.flatnonzero(R[:, c])
-        below = nz[nz >= r]
-        if len(below) == 0:
+        unused = nz[free[nz]]
+        if len(unused) == 0:
             continue
-        i = int(below[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        R[r, c:] = R[r, c:] % p * pow(int(R[r, c]), p - 2, p) % p
-        # after the swap column c is nonzero in the rows nz, with r for i
+        i = int(unused[0])
+        free[i] = False
+        R[i, c:] = R[i, c:] % p * pow(int(R[i, c]), p - 2, p) % p
         others = nz[nz != i]
-        R[others, c:] -= R[others, c, None] * R[r, c:]
+        R[others, c:] -= R[others, c, None] * R[i, c:]
         pivots.append(c)
-        r += 1
-        if r % budget == 0:
+        order.append(i)
+        if len(pivots) % budget == 0:
             R %= p
-    return R[:r] % p, pivots
+    return R[order] % p, pivots
 
 
 def _kernel_from_rref(
     E: np.ndarray, pivots: list[int], cols: int, p: int
 ) -> np.ndarray:
     """Basis of {x : Ex = 0}, one row per free column of the RREF E."""
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, np.asarray(pivots, dtype=np.intp)] = (-E[:, free] % p).T

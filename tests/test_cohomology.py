@@ -18,7 +18,7 @@ from d21alpha.cohomology import (
 from d21alpha.enveloping import (
     J1_CODES, J3_CODES, THETA_BITS, VermaModule, decode, monomial_parity,
 )
-from helpers import whole_identity, word
+from helpers import chain_from_whole_identity, shifted, whole_identity, word
 
 P = 5
 ALPHA = 2
@@ -291,7 +291,7 @@ class _WordModule(VermaModule):
     def column(self, gens, betas):
         out = np.zeros((len(gens), len(betas), 16, 16), dtype=np.int64)
         for (s, g), (k, beta) in itertools.product(enumerate(gens), enumerate(betas)):
-            space = self.weight_basis(self._shifted(beta, g))
+            space = self.weight_basis(shifted(self, beta, g))
             for c, n in enumerate(self.weight_basis(beta)):
                 for m, v in self.normal_form([g] + word(monomial=n, p=self.p)).items():
                     out[s, k, space.index(m), c] = v
@@ -438,6 +438,79 @@ def test_generator_pairs_suffice_at_psi_and_random_lambda(p, alpha):
         _assert_generator_pairs_suffice(VermaModule(alg, lam, chi))
 
 
+def _chain_points():
+    """(p, alpha, lambda, chi) of a p=5 slice sample, the psi residues at
+    p=7 and p=31, and random points at p=101 and p=10,000,019."""
+    rng = random.Random(25)
+    slice_lams = rng.sample(list(itertools.product(range(P), repeat=3)), 12)
+    points = [(P, ALPHA, lam, chi) for chi in ((0, 0, 0), (1, 0, 3))
+              for lam in slice_lams]
+    points += [(p, 3, psi_lambda(which, p), (0, 0, 0))
+               for p in (7, 31) for which in (1, 2, 3, 4)]
+    for p in (101, 10_000_019):
+        for chi in ((0, 0, 0), tuple(rng.randrange(p) for _ in range(3))):
+            points.append((p, 2, tuple(rng.randrange(p) for _ in range(3)), chi))
+    return points
+
+
+def test_chain_map_equals_the_whole_identity_construction():
+    """chain_map reads its pairs' signed 8x8 slices; the oracle solves each
+    step from the rows of the whole identity in the 136 unit coordinates."""
+    for p, alpha, lam, chi in _chain_points():
+        module = VermaModule(build_algebra(p, alpha), lam, chi)
+        for parity in (0, 1):
+            T = GradedLayout(module, parity).chain_map()
+            assert np.array_equal(T, chain_from_whole_identity(module, parity)), (
+                p, lam, chi, parity,
+            )
+
+
+def _graded_space_points():
+    modules = [VermaModule(build_algebra(P, ALPHA), lam, chi)
+               for chi in ((0, 0, 0), (1, 0, 3))
+               for lam in itertools.product(range(P), repeat=3)]
+    for p in (7, 31):
+        alg = build_algebra(p, 3)
+        modules += [VermaModule(alg, psi_lambda(which, p), (0, 0, 0))
+                    for which in (1, 2, 3, 4)]
+    return modules
+
+
+def test_graded_spaces_equal_the_full_lift():
+    """Both arrays against rref of the whole lifted kernel and of the inner
+    vectors, computed here.  Where the two spans are equal graded_spaces
+    returns one array for both; elsewhere it brings the lift to RREF."""
+    shared = full = 0
+    for module in _graded_space_points():
+        p = module.p
+        for parity in (0, 1):
+            layout = GradedLayout(module, parity)
+            T = layout.chain_map().reshape(layout.ncols, -1)
+            lifted = linalg.kernel_basis(layout.equations(), p) @ T.T
+            kernel, inner = graded_spaces(module, parity)
+            point = (p, module.lam, module.chi, parity)
+            assert np.array_equal(kernel, linalg.rref(lifted, p)[0]), point
+            assert np.array_equal(inner, linalg.rref(layout.inner_vectors(), p)[0]), point
+            if kernel is inner:
+                shared += 1
+            else:
+                full += 1
+                assert len(kernel) > len(inner), point
+    assert shared and full
+    psi1 = VermaModule(build_algebra(P, ALPHA), psi_lambda(1, P), (0, 0, 0))
+    kernel, inner = graded_spaces(psi1, 0)
+    assert (len(kernel), len(inner)) == (13, 7)
+
+
+def test_graded_spaces_are_read_only(m233, m_generic):
+    """The kernel and the inner span may be one array, so neither is writable."""
+    for module in (m233, m_generic):
+        for parity in (0, 1):
+            for space in graded_spaces(module, parity):
+                with pytest.raises(ValueError, match="read-only"):
+                    space[0, 0] = 1
+
+
 # Mutation checks: one fault each, and the check that must catch it.
 
 
@@ -458,6 +531,21 @@ def test_a_wrong_chain_step_raises(alg, monkeypatch, g):
     monkeypatch.setattr(GradedLayout, "chain_map", doubled)
     with pytest.raises(ConsistencyError, match="chain map"):
         h1(VermaModule(alg, psi_lambda(1, P), (0, 0, 0)))
+
+
+def test_a_kernel_of_the_inner_dimension_but_another_span_raises(alg, monkeypatch):
+    """graded_spaces returns the inner RREF as the kernel only where the
+    lifted kernel lies in the inner span, not merely where the two have the
+    same dimension.  A system whose kernel is the first coordinates of the
+    generating set, as many as the inner dimension, must fail h1's check."""
+
+    def wrong(self):
+        dim = len(linalg.rref(self.inner_vectors(), self.module.p)[0])
+        return np.eye(8 * 4, dtype=np.int64)[dim:]
+
+    monkeypatch.setattr(GradedLayout, "equations", wrong)
+    with pytest.raises(ConsistencyError, match="inner derivations"):
+        h1(VermaModule(alg, (1, 1, 1), (0, 0, 0)))
 
 
 def test_h1_names_the_representative_that_fails(alg, monkeypatch):

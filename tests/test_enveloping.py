@@ -15,7 +15,9 @@ from d21alpha.enveloping import (
     J1_CODES, J3_CODES, ConsistencyError, VermaModule, decode, encode,
     monomial_parity, monomial_weight, theta_tuple, verify_module_axioms,
 )
-from helpers import block, with_perturbed_bracket, word
+from helpers import (
+    action_matrix_from_weight_bases, block, shifted, with_perturbed_bracket, word,
+)
 
 P = 5
 ALPHA = 2
@@ -201,7 +203,7 @@ def _block_column(module, g, n, B=None):
     beta = module.weight_of_monomial(n)
     if B is None:
         B = block(module, g, beta)
-    targets = module.weight_basis(module._shifted(beta, g))
+    targets = module.weight_basis(shifted(module, beta, g))
     return {targets[r]: int(v) for r, v in enumerate(B[:, n & 15]) if v}
 
 
@@ -404,11 +406,11 @@ def test_generator_block_oracle_catches_a_shifted_slot(monkeypatch):
     """The rows of x1 scattered into the blocks of the generator after it."""
     rows_of = enveloping._generator_rows
 
-    def shifted(table, gens):
+    def shifted_slots(table, gens):
         rows, slot = rows_of(table, gens)
         return rows, np.where(slot == X1, X1 + 1, slot)
 
-    monkeypatch.setattr(enveloping, "_generator_rows", shifted)
+    monkeypatch.setattr(enveloping, "_generator_rows", shifted_slots)
     p, lam, chi = FUSED_POINTS[0]
     bad = _generator_block_mismatches(VermaModule(build_algebra(p, 2), lam, chi))
     assert {g for g, _, _ in bad} == {X1, X1 + 1}
@@ -431,6 +433,27 @@ def test_a_point_evaluates_the_table_once(monkeypatch):
     calls.clear()
     VermaModule(alg, (1, 4, 2), (1, 0, 3)).action_matrix(E2)
     assert calls == [((E2,), tuple(itertools.product(range(5), repeat=3)))]
+
+
+def _assert_same_sparse(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert (a != b).nnz == 0
+    assert a.nnz == b.nnz
+
+
+def test_action_matrices_equal_the_per_weight_construction():
+    """The indices of one encode pass over all weights and codes against
+    weight_basis read weight by weight: every generator at p=5, with chi
+    zero and nonzero, and one generator at p=31."""
+    alg = build_algebra(5, 2)
+    for chi in ((0, 0, 0), (1, 0, 3)):
+        module = VermaModule(alg, (1, 4, 2), chi)
+        for g in range(17):
+            _assert_same_sparse(module.action_matrix(g),
+                                action_matrix_from_weight_bases(module, g))
+    module = VermaModule(build_algebra(31, 5), (3, 17, 30), (0, 2, 0))
+    _assert_same_sparse(module.action_matrix(X1),
+                        action_matrix_from_weight_bases(module, X1))
 
 
 def test_block_rejects_action_leaving_its_weight_space(alg):
@@ -549,8 +572,8 @@ def test_e1_blocks_are_exact_at_a_large_prime():
     for u in range(17):
         beta = alg.weights[u]
         commutator = (
-            exact(a, module._shifted(beta, b)) @ exact(b, beta)
-            + exact(b, module._shifted(beta, a)) @ exact(a, beta)
+            exact(a, shifted(module, beta, b)) @ exact(b, beta)
+            + exact(b, shifted(module, beta, a)) @ exact(a, beta)
         )
         expected = commutator % p * scale % p
         assert (exact(E1, beta) == expected).all(), u
